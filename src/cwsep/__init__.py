@@ -6,11 +6,9 @@ from .filterbank import (
     ReconReport,
     SubbandSignal,
     analysis,
-    decimate,
     design_filterbank,
     measure_reconstruction,
     synthesis,
-    zero_insert,
 )
 from .metrics import (
     energy_conservation_loss,
@@ -46,8 +44,6 @@ __all__ = [
     "FilterBank",
     "SubbandSignal",
     "ReconReport",
-    "decimate",
-    "zero_insert",
     "design_filterbank",
     "analysis",
     "synthesis",

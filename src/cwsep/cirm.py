@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .spectral import ComplexSpectrogram, MagPhase
 
@@ -56,10 +57,6 @@ class CirmGradients:
     mag_residual: np.ndarray
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def _check_shapes(mix: MagPhase, out: NetworkOutput):
     if out.shape != mix.magnitude.shape:
         raise ValueError(
@@ -76,7 +73,7 @@ def apply_cirm(mix: MagPhase, out: NetworkOutput, eps: float = DEFAULT_EPS) -> C
     r = np.sqrt(out.phase_real**2 + out.phase_imag**2 + eps)
     cos_t = out.phase_real / r
     sin_t = out.phase_imag / r
-    mag = np.maximum(mix.magnitude * _sigmoid(out.mask_logits) + out.mag_residual, 0.0)
+    mag = np.maximum(mix.magnitude * expit(out.mask_logits) + out.mag_residual, 0.0)
 
     cos_out = mix.phase_cos * cos_t - mix.phase_sin * sin_t
     sin_out = mix.phase_sin * cos_t + mix.phase_cos * sin_t
@@ -99,7 +96,7 @@ def cirm_gradients(
     """
     _check_shapes(mix, out)
 
-    sig = _sigmoid(out.mask_logits)
+    sig = expit(out.mask_logits)
     pre = mix.magnitude * sig + out.mag_residual
     active = (pre > 0).astype(pre.dtype)
     mag = np.maximum(pre, 0.0)

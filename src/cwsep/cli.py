@@ -34,9 +34,7 @@ def _noise_probe(seconds: float, sample_rate: int = 44100) -> Waveform:
 
 
 def cmd_design_filters(args) -> int:
-    fb = fbmod.design_filterbank(
-        num_bands=args.bands, taps=args.taps, iterations=args.iterations, step=args.step
-    )
+    fb = fbmod.design_filterbank(num_bands=args.bands, taps=args.taps)
     Path(args.out).write_text(fb.to_json())
     report = fbmod.measure_reconstruction(fb, _noise_probe(10.0))
     print(
@@ -153,9 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design-filters", help="design an analysis/synthesis filterbank")
     p.add_argument("--bands", type=int, choices=fbmod.SUPPORTED_BANDS, required=True)
     p.add_argument("--taps", type=int, default=fbmod.DEFAULT_TAPS)
-    p.add_argument("--iterations", type=int, default=None,
-                   help="descent steps (default: per-band schedule)")
-    p.add_argument("--step", type=float, default=fbmod.DEFAULT_STEP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_design_filters)
 

@@ -2,15 +2,17 @@
 
 A cosine-modulated (pseudo-QMF) bank is built from a single lowpass
 prototype: Kaiser-windowed sinc initialization followed by gradient
-descent on the reconstruction error of the full analysis->synthesis
-cascade. The cascade of a well-designed N-band/64-tap bank approximates
-a pure delay of taps-1 samples.
+descent, with the exact gradient, on the reconstruction error of the
+full analysis->synthesis cascade. The cascade of a well-designed
+N-band/64-tap bank approximates a pure delay of taps-1 samples.
 
-Convolution convention: `conv_same` keeps the first len(x) samples of
-the full linear convolution (causal alignment), and decimation keeps
-phase 0. Under this convention an impulse analyzed through band j yields
-exactly decimate(h_j zero-padded, N), and the cascade delay equals
-taps - 1.
+Analysis filters each channel and keeps every N-th output sample
+starting at phase 0; synthesis inserts N-1 zeros after each band sample
+and filters. Both run polyphase through scipy.signal.upfirdn, so no
+discarded sample is ever computed. Filtering is causal: the output is
+aligned with the start of the full linear convolution. Under this
+convention an impulse analyzed through band j yields h_j zero-padded and
+decimated by N, and the cascade delay equals taps - 1.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import upfirdn
 from scipy.signal.windows import kaiser
 
 from .wave_io import Waveform
@@ -29,7 +32,7 @@ DEFAULT_TAPS = 64
 # slowly per step (and each step is cheaper), so they get more steps;
 # the schedule keeps reconstruction SNR decreasing as bands increase.
 DEFAULT_ITERATIONS = {2: 1800, 4: 1300, 8: 500}
-DEFAULT_STEP = 1.0
+INITIAL_STEP = 1.0
 
 # design is declared non-convergent above this cascade-error objective
 CONVERGENCE_THRESHOLD = 1e-3
@@ -124,29 +127,6 @@ class SubbandSignal:
         return self.samples.reshape(c * b, n)
 
 
-def decimate(x, factor: int):
-    """Keep every factor-th sample starting at phase 0."""
-    if factor < 1:
-        raise ValueError(f"decimation factor must be >= 1, got {factor}")
-    return np.asarray(x)[::factor]
-
-
-def zero_insert(x, factor: int):
-    """Insert factor-1 zeros after each sample."""
-    if factor < 1:
-        raise ValueError(f"upsampling factor must be >= 1, got {factor}")
-    x = np.asarray(x)
-    out = np.zeros(len(x) * factor, dtype=x.dtype)
-    out[::factor] = x
-    return out
-
-
-def conv_same(x, h):
-    """First len(x) samples of the full linear convolution (causal)."""
-    x = np.asarray(x)
-    return np.convolve(x, h)[: len(x)]
-
-
 def _prototype_init(taps: int, num_bands: int, beta: float = 9.0) -> np.ndarray:
     """Kaiser-windowed sinc lowpass, cutoff pi/(2N)."""
     n = np.arange(taps)
@@ -183,8 +163,10 @@ class _CascadeObjective:
 
         t_ph[n] = sum_j sum_k h[j, k*N - ph] * g[j, n - k*N]
 
-    which is identical to running conv_same/decimate/zero_insert/conv_same
-    on a phase-ph unit impulse (unit-tested against that oracle).
+    which is identical to running the literal filter/decimate/zero-insert/
+    filter cascade on a phase-ph unit impulse (unit-tested against that
+    oracle). t is bilinear in the gathered taps (p[hi], p[gi]), which
+    gives the exact gradient in closed form.
     """
 
     def __init__(self, num_bands: int, taps: int):
@@ -211,37 +193,42 @@ class _CascadeObjective:
         for p in range(N):
             self.target[p, taps - 1 + p] = 1.0
 
+    def _gather(self, p: np.ndarray):
+        return p[self._hi] * self._h_ok, p[self._gi] * self._g_ok
+
     def responses(self, p: np.ndarray) -> np.ndarray:
-        ph = p[self._hi] * self._h_ok
-        pg = p[self._gi] * self._g_ok
+        ph, pg = self._gather(p)
         return np.einsum("pk,kn,pkn->pn", ph, pg, self._coupling)
 
     def __call__(self, p: np.ndarray) -> float:
         d = (self.responses(p) - self.target).ravel()
         return float(np.dot(d, d))
 
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        """Exact gradient of the objective with respect to the prototype."""
+        ph, pg = self._gather(p)
+        d = 2 * (self.responses(p) - self.target)
+        d_ph = np.einsum("pn,kn,pkn->pk", d, pg, self._coupling) * self._h_ok
+        d_pg = np.einsum("pn,pk,pkn->kn", d, ph, self._coupling) * self._g_ok
+        taps = len(p)
+        return np.bincount(self._hi.ravel(), d_ph.ravel(), taps) + np.bincount(
+            self._gi.ravel(), d_pg.ravel(), taps
+        )
 
-def design_filterbank(
-    num_bands: int = 4,
-    taps: int = DEFAULT_TAPS,
-    iterations: int | None = None,
-    step: float = DEFAULT_STEP,
-) -> FilterBank:
+
+def design_filterbank(num_bands: int = 4, taps: int = DEFAULT_TAPS) -> FilterBank:
     """Design a near-perfect-reconstruction cosine-modulated bank.
 
     Deterministic: fixed initialization, no RNG. Gradient descent with
-    central-difference gradients over the prototype coefficients and a
-    deterministic halving/growing step rule. When `iterations` is None
-    the per-band default budget from DEFAULT_ITERATIONS applies. Raises
-    DesignError when the final objective stays above the convergence
-    threshold.
+    exact gradients over the prototype coefficients, a deterministic
+    halving/growing step rule from INITIAL_STEP, and the per-band step
+    budget from DEFAULT_ITERATIONS. Raises DesignError when the final
+    objective stays above the convergence threshold.
     """
     if num_bands not in SUPPORTED_BANDS:
         raise ValueError(f"num_bands must be one of {SUPPORTED_BANDS}, got {num_bands}")
     if taps % (2 * num_bands) != 0:
         raise ValueError(f"taps must be a multiple of {2 * num_bands}, got {taps}")
-    if iterations is None:
-        iterations = DEFAULT_ITERATIONS[num_bands]
 
     objective = _CascadeObjective(num_bands, taps)
     p = _prototype_init(taps, num_bands)
@@ -252,17 +239,9 @@ def design_filterbank(
     p = p * np.sqrt(abs(scale))
 
     err = objective(p)
-    fd = 1e-6
-    for _ in range(iterations):
-        grad = np.empty(taps)
-        for i in range(taps):
-            pi = p[i]
-            p[i] = pi + fd
-            ep = objective(p)
-            p[i] = pi - fd
-            em = objective(p)
-            p[i] = pi
-            grad[i] = (ep - em) / (2 * fd)
+    step = INITIAL_STEP
+    for _ in range(DEFAULT_ITERATIONS[num_bands]):
+        grad = objective.gradient(p)
         while True:
             p_next = p - step * grad
             err_next = objective(p_next)
@@ -292,12 +271,12 @@ def analysis(x: Waveform, fb: FilterBank) -> SubbandSignal:
     if x.num_samples < fb.taps:
         raise ValueError(f"signal length {x.num_samples} < filter length {fb.taps}")
     dtype = x.samples.dtype if x.samples.dtype in (np.float32, np.float64) else np.float64
+    samples = x.samples.astype(dtype, copy=False)
     h = fb.analysis.astype(dtype)
     sub_len = -(-x.num_samples // fb.num_bands)  # ceil
     out = np.empty((x.num_channels, fb.num_bands, sub_len), dtype=dtype)
-    for c in range(x.num_channels):
-        for j in range(fb.num_bands):
-            out[c, j] = decimate(conv_same(x.samples[c].astype(dtype), h[j]), fb.num_bands)
+    for j in range(fb.num_bands):
+        out[:, j] = upfirdn(h[j], samples, 1, fb.num_bands, axis=1)[:, :sub_len]
     return SubbandSignal(out, x.sample_rate)
 
 
@@ -310,11 +289,13 @@ def synthesis(sb: SubbandSignal, fb: FilterBank) -> Waveform:
     dtype = sb.samples.dtype if sb.samples.dtype in (np.float32, np.float64) else np.float64
     g = fb.synthesis.astype(dtype)
     out_len = fb.num_bands * sb.samples.shape[2]
+    samples = sb.samples.astype(dtype, copy=False)
     out = np.zeros((sb.num_channels, out_len), dtype=dtype)
-    for c in range(sb.num_channels):
-        for j in range(fb.num_bands):
-            up = zero_insert(sb.samples[c, j], fb.num_bands)
-            out[c] += conv_same(up, g[j])
+    for j in range(fb.num_bands):
+        # upfirdn stops at the last input sample: with taps < N the
+        # result is shorter than out_len and the tail stays zero
+        y = upfirdn(g[j], samples[:, j], fb.num_bands, 1, axis=1)[:, :out_len]
+        out[:, : y.shape[1]] += y
     return Waveform(out, sb.source_rate)
 
 

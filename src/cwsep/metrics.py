@@ -59,10 +59,8 @@ def sdr_global(reference: Waveform, estimate: Waveform) -> float:
     return _sdr(ref, np.asarray(estimate.samples, dtype=np.float64))
 
 
-def sdr_framewise_median(
-    reference: Waveform, estimate: Waveform, frame_seconds: float = 1.0
-) -> float:
-    """Median SDR over non-overlapping frames, skipping silent-reference frames."""
+def _frame_sdrs(reference: Waveform, estimate: Waveform, frame_seconds: float) -> list:
+    """SDR of each non-overlapping frame whose reference is not silent."""
     _check_shapes(reference, estimate)
     frame_len = int(round(frame_seconds * reference.sample_rate))
     if reference.num_samples < frame_len:
@@ -79,23 +77,26 @@ def sdr_framewise_median(
         values.append(_sdr(r, est[:, start : start + frame_len]))
     if not values:
         raise MetricsError("all frames have a silent reference")
-    return float(np.median(values))
+    return values
+
+
+def sdr_framewise_median(
+    reference: Waveform, estimate: Waveform, frame_seconds: float = 1.0
+) -> float:
+    """Median SDR over non-overlapping frames, skipping silent-reference frames."""
+    return float(np.median(_frame_sdrs(reference, estimate, frame_seconds)))
 
 
 def evaluation_report(
     reference: Waveform, estimate: Waveform, track: str = "", source: str = ""
 ) -> dict:
     """JSON-ready report with global and framewise-median SDR."""
-    frame_len = int(round(reference.sample_rate * 1.0))
-    frames_used = 0
-    ref = np.asarray(reference.samples, dtype=np.float64)
-    for start in range(0, reference.num_samples - frame_len + 1, frame_len):
-        if float(np.sum(ref[:, start : start + frame_len] ** 2)) >= SILENCE_ENERGY:
-            frames_used += 1
+    sdr = sdr_global(reference, estimate)
+    frames = _frame_sdrs(reference, estimate, 1.0)
     return {
         "track": track,
         "source": source,
-        "sdr_global_db": sdr_global(reference, estimate),
-        "sdr_median_db": sdr_framewise_median(reference, estimate),
-        "frames_used": frames_used,
+        "sdr_global_db": sdr,
+        "sdr_median_db": float(np.median(frames)),
+        "frames_used": len(frames),
     }

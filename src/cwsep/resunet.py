@@ -169,12 +169,11 @@ class Model:
     def out_sources(self) -> int:
         return self.config.out_sources
 
-    def forward(self, mag: np.ndarray, ablate_skip: int | None = None):
+    def forward(self, mag: np.ndarray):
         """Map a magnitude tensor [in_channels, T, F] to NetworkOutputs.
 
         Returns one NetworkOutput per source, each tensor shaped exactly
-        like the input. `ablate_skip` zeroes one skip tensor (structural
-        diagnostics only).
+        like the input.
         """
         cfg = self.config
         mag = np.asarray(mag, dtype=np.float32)
@@ -197,10 +196,7 @@ class Model:
         for lvl in reversed(range(cfg.num_levels)):
             h = _upsample2(h)
             h = _leaky(self._conv(h, f"dec{lvl}.upsample"))
-            skip = skips[lvl]
-            if ablate_skip == lvl:
-                skip = np.zeros_like(skip)
-            h = np.concatenate([h, skip], axis=0)
+            h = np.concatenate([h, skips[lvl]], axis=0)
             for b in range(cfg.blocks_per_level[lvl]):
                 h = self._block(h, f"dec{lvl}.block{b}")
         out = self._conv(h, "head")[:, :t0, :f0]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,25 @@ class TestGradients:
         with pytest.raises(ValueError):
             cirm_gradients(mp, constant_output((1, 1, 1)),
                            np.zeros((1, 1, 1)), np.zeros((1, 1, 1)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_saturated_logits_raise_no_warning(dtype):
+    # a sigmoid written as 1/(1+exp(-x)) overflows exp for large negative x
+    mp, _ = random_magphase(seed=12)
+    shape = mp.magnitude.shape
+    logits = np.where(np.arange(shape[-1]) % 2 == 0, 1e4, -1e4) * np.ones(shape)
+    out = NetworkOutput(
+        mask_logits=logits.astype(dtype),
+        phase_real=np.ones(shape, dtype=dtype),
+        phase_imag=np.zeros(shape, dtype=dtype),
+        mag_residual=np.zeros(shape, dtype=dtype),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = apply_cirm(mp, out)
+        g = cirm_gradients(mp, out, np.ones(shape), np.zeros(shape))
+    on = logits > 0
+    assert np.allclose(np.abs(rec.data)[on], mp.magnitude[on], rtol=1e-6)
+    assert not np.any(rec.data[~on])
+    assert not np.any(g.mask_logits)

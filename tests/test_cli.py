@@ -50,8 +50,7 @@ def zero_weights_path(tmp_path_factory):
 class TestDesignFilters:
     def test_writes_bank_and_reloads(self, tmp_path, capsys):
         out = tmp_path / "fb2.json"
-        code, _, err = run(capsys, "design-filters", "--bands", "2",
-                           "--iterations", "60", "--out", str(out))
+        code, _, err = run(capsys, "design-filters", "--bands", "2", "--out", str(out))
         assert code == 0
         assert "SNR" in err
         fb = FilterBank.from_json(out.read_text())

@@ -112,10 +112,17 @@ class TestForward:
         assert np.max(np.abs(long[:, : t0 - margin, :] - short[:, : t0 - margin, :])) <= 1e-4
 
     def test_skip_ablation_changes_output(self):
+        # zeroing the weights that read the level-0 skip channels is the
+        # same as feeding a zero skip tensor to dec0
         model = init_random(build(TINY), seed=9)
         x = random_input(seed=10)
         base = model.forward(x)[0].mask_logits
-        ablated = model.forward(x, ablate_skip=0)[0].mask_logits
+        ch = TINY.channels_per_level[0]
+        params = dict(model.params)
+        for name in ("dec0.block0.conv1.weight", "dec0.block0.shortcut.weight"):
+            params[name] = params[name].copy()
+            params[name][:, ch:] = 0.0
+        ablated = Model(TINY, params).forward(x)[0].mask_logits
         assert not np.allclose(base, ablated)
 
     def test_identity_at_init_block(self):
