@@ -6,10 +6,10 @@ spectrogram is
 
     mag   = relu(|X| * sigmoid(M) + Q)
     theta = angle of (Pr, Pi), normalized with an eps-stabilized length
-    S     = mag * exp(j * (angle(X) + theta))
+    S     = mag * exp(j * angle(X)) * exp(j * theta)
 
-with the rotation applied through the angle-addition identities, so the
-mixture phase never needs to be unwrapped. Analytic gradients of (re, im)
+with both rotations applied as products of unit phasors, so the mixture
+phase never needs to be unwrapped. Analytic gradients of (re, im)
 with respect to all four tensors are provided for verification.
 """
 
@@ -64,20 +64,22 @@ def _check_shapes(mix: MagPhase, out: NetworkOutput):
         )
 
 
-def apply_cirm(mix: MagPhase, out: NetworkOutput, eps: float = DEFAULT_EPS) -> ComplexSpectrogram:
+def _rotation(out: NetworkOutput):
+    """Unit phasor of (Pr, Pi) and its eps-stabilized length.
+
+    hypot keeps the length finite for any finite float32 phase vector,
+    where squaring overflows once |Pr| or |Pi| exceeds about 1.8e19.
+    """
+    r = np.hypot(np.hypot(out.phase_real, out.phase_imag), DEFAULT_EPS**0.5)
+    return (out.phase_real + 1j * out.phase_imag) / r, r
+
+
+def apply_cirm(mix: MagPhase, out: NetworkOutput) -> ComplexSpectrogram:
     """Reconstruct the estimated complex spectrogram from mask and phase."""
     _check_shapes(mix, out)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-
-    r = np.sqrt(out.phase_real**2 + out.phase_imag**2 + eps)
-    cos_t = out.phase_real / r
-    sin_t = out.phase_imag / r
+    rot, _ = _rotation(out)
     mag = np.maximum(mix.magnitude * expit(out.mask_logits) + out.mag_residual, 0.0)
-
-    cos_out = mix.phase_cos * cos_t - mix.phase_sin * sin_t
-    sin_out = mix.phase_sin * cos_t + mix.phase_cos * sin_t
-    data = mag * (cos_out + 1j * sin_out)
+    data = mag * mix.phase * rot
     return ComplexSpectrogram(data, win_length=mix.win_length, hop=mix.hop, fft_size=mix.fft_size)
 
 
@@ -86,7 +88,6 @@ def cirm_gradients(
     out: NetworkOutput,
     upstream_re: np.ndarray,
     upstream_im: np.ndarray,
-    eps: float = DEFAULT_EPS,
 ) -> CirmGradients:
     """Vector-Jacobian product of apply_cirm.
 
@@ -98,32 +99,25 @@ def cirm_gradients(
 
     sig = expit(out.mask_logits)
     pre = mix.magnitude * sig + out.mag_residual
-    active = (pre > 0).astype(pre.dtype)
+    active = pre > 0
     mag = np.maximum(pre, 0.0)
+    rot, r = _rotation(out)
+    upstream = upstream_re + 1j * upstream_im
 
-    r2 = out.phase_real**2 + out.phase_imag**2 + eps
-    r = np.sqrt(r2)
-    cos_t = out.phase_real / r
-    sin_t = out.phase_imag / r
-    cos_out = mix.phase_cos * cos_t - mix.phase_sin * sin_t
-    sin_out = mix.phase_sin * cos_t + mix.phase_cos * sin_t
-
-    # magnitude path
-    g_mag = upstream_re * cos_out + upstream_im * sin_out
+    # magnitude path: cotangent projected on the output phase
+    g_mag = np.real(np.conj(upstream) * mix.phase * rot)
     g_mask = g_mag * active * mix.magnitude * sig * (1.0 - sig)
     g_residual = g_mag * active
 
-    # rotation path
-    g_cos_t = mag * (upstream_re * mix.phase_cos + upstream_im * mix.phase_sin)
-    g_sin_t = mag * (-upstream_re * mix.phase_sin + upstream_im * mix.phase_cos)
-    r3 = r2 * r
-    g_pr = g_cos_t * (out.phase_imag**2 + eps) / r3 - g_sin_t * out.phase_real * out.phase_imag / r3
-    g_pi = -g_cos_t * out.phase_real * out.phase_imag / r3 + g_sin_t * (out.phase_real**2 + eps) / r3
+    # rotation path: cotangent of the unit phasor, whose Jacobian w.r.t.
+    # (Pr, Pi) is (I - rot rot^T) / r with the eps term folded into r
+    g_rot = mag * upstream * np.conj(mix.phase)
+    g_phase = (g_rot - rot * np.real(g_rot * np.conj(rot))) / r
 
     return CirmGradients(
         mask_logits=g_mask,
-        phase_real=g_pr,
-        phase_imag=g_pi,
+        phase_real=g_phase.real,
+        phase_imag=g_phase.imag,
         mag_residual=g_residual,
     )
 

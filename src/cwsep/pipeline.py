@@ -45,7 +45,7 @@ class IdentityModel:
         self.out_sources = out_sources
 
     def forward(self, mag):
-        return [identity_output(mag.shape) for _ in range(self.out_sources)]
+        return [identity_output(mag.shape, mag.dtype) for _ in range(self.out_sources)]
 
 
 def segment(x: Waveform, seconds: float = SEGMENT_SECONDS) -> Segmented:
@@ -98,41 +98,42 @@ def _separate_segment(chunk: np.ndarray, rate: int, model, fb: FilterBank):
 
 
 def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
-    """Separate a 44.1 kHz mixture; returns one stereo Waveform per source.
+    """Separate a 44.1 kHz mixture; returns one stereo float32 Waveform per source.
 
     Mono inputs are duplicated to stereo here. `workers` > 1 processes
     segments concurrently (0 = one per CPU); output order and values are
-    independent of scheduling.
+    independent of scheduling. A failing segment raises PipelineError
+    naming its index and start time.
     """
     if x.sample_rate != PIPELINE_RATE:
         raise PipelineError(
             f"pipeline requires {PIPELINE_RATE} Hz input, got {x.sample_rate} Hz"
         )
-    samples = x.samples
+    samples = x.samples.astype(np.float32, copy=False)
     if samples.shape[0] == 1:
         samples = np.repeat(samples, 2, axis=0)
     x = Waveform(samples, x.sample_rate)
 
+    def run(index, chunk):
+        try:
+            return _separate_segment(chunk, x.sample_rate, model, fb)
+        except Exception as e:
+            raise PipelineError(
+                f"segment {index} (from {index * SEGMENT_SECONDS:g} s): {e}"
+            ) from e
+
     seg = segment(x)
+    indices = range(len(seg.segments))
     if workers == 0:
         workers = os.cpu_count() or 1
     if workers > 1 and len(seg.segments) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda c: _separate_segment(c, x.sample_rate, model, fb), seg.segments)
-            )
+            results = list(pool.map(run, indices, seg.segments))
     else:
-        results = [_separate_segment(c, x.sample_rate, model, fb) for c in seg.segments]
+        results = list(map(run, indices, seg.segments))
 
-    num_sources = results[0].shape[0]
-    out = []
-    for s in range(num_sources):
-        parts = [r[s][:, :n] for r, n in zip(results, seg.true_lengths)]
-        y = np.concatenate(parts, axis=1)
-        if not np.all(np.isfinite(y)):
-            raise PipelineError(f"non-finite samples in source {s} output")
-        out.append(Waveform(y, x.sample_rate))
-    return out
+    y = np.concatenate([r[:, :, :n] for r, n in zip(results, seg.true_lengths)], axis=2)
+    return [Waveform(source, x.sample_rate) for source in y]
 
 
 def instrumental_residual(mixture: Waveform, vocals: Waveform) -> Waveform:

@@ -4,7 +4,9 @@ Frames are Hann-windowed (periodic window), length 512, hop 110, FFT
 size 512, one-sided. Signals are zero-padded by win_length/2 on each
 side before framing; the inverse uses weighted overlap-add with
 window-squared normalization (floored at 1e-8), which is exact on
-interior samples even though hop 110 is not a COLA hop for Hann.
+interior samples even though hop 110 is not a COLA hop for Hann. Every
+transform follows its input precision: float32 streams give complex64
+spectrograms and back.
 """
 
 from __future__ import annotations
@@ -54,14 +56,13 @@ class ComplexSpectrogram:
 
 @dataclass(frozen=True)
 class MagPhase:
-    """Magnitude plus unit phase vector (cos, sin) per bin.
+    """Magnitude plus unit phasor per bin.
 
-    Phase at zero-magnitude bins is the documented convention (1, 0).
+    Phase at zero-magnitude bins is the documented convention 1 + 0j.
     """
 
     magnitude: np.ndarray
-    phase_cos: np.ndarray
-    phase_sin: np.ndarray
+    phase: np.ndarray
     win_length: int
     hop: int
     fft_size: int
@@ -72,33 +73,30 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
 
 
-def stft(sb: SubbandSignal, win_length: int = WIN_LENGTH, hop: int = HOP) -> ComplexSpectrogram:
+def stft(sb: SubbandSignal) -> ComplexSpectrogram:
     """STFT of every channel x band stream, stacked channel-major.
 
     A stereo 4-band input yields 8 spectrogram channels ordered
     (ch0 band0..3, ch1 band0..3).
     """
-    streams = sb.stacked()
-    return stft_streams(streams, win_length, hop)
+    return stft_streams(sb.stacked())
 
 
-def stft_streams(streams: np.ndarray, win_length: int = WIN_LENGTH, hop: int = HOP) -> ComplexSpectrogram:
-    """STFT of raw streams [channels, length]."""
+def stft_streams(streams: np.ndarray) -> ComplexSpectrogram:
+    """STFT of raw streams [channels, length]; float32 in, complex64 out."""
     streams = np.atleast_2d(np.asarray(streams))
     n = streams.shape[1]
-    if n < win_length:
-        raise ValueError(f"signal length {n} < window length {win_length}")
-    pad = win_length // 2
-    dtype = np.float32 if streams.dtype == np.float32 else np.float64
-    x = np.pad(streams.astype(dtype), ((0, 0), (pad, pad)))
-    padded_len = x.shape[1]
-    frames = (padded_len - win_length) // hop + 1
-    win = _hann(win_length).astype(dtype)
+    if n < WIN_LENGTH:
+        raise ValueError(f"signal length {n} < window length {WIN_LENGTH}")
+    pad = WIN_LENGTH // 2
+    x = np.pad(streams, ((0, 0), (pad, pad)))
+    frames = (x.shape[1] - WIN_LENGTH) // HOP + 1
+    win = _hann(WIN_LENGTH).astype(np.result_type(streams.dtype, np.float32))
 
-    idx = np.arange(win_length)[None, :] + hop * np.arange(frames)[:, None]
+    idx = np.arange(WIN_LENGTH)[None, :] + HOP * np.arange(frames)[:, None]
     framed = x[:, idx] * win[None, None, :]  # [C, T, win]
-    spec = np.fft.rfft(framed, n=win_length, axis=2)
-    return ComplexSpectrogram(spec, win_length=win_length, hop=hop, fft_size=win_length)
+    spec = np.fft.rfft(framed, n=WIN_LENGTH, axis=2)
+    return ComplexSpectrogram(spec, win_length=WIN_LENGTH, hop=HOP, fft_size=WIN_LENGTH)
 
 
 def istft(spec: ComplexSpectrogram, out_length: int) -> np.ndarray:
@@ -111,32 +109,28 @@ def istft(spec: ComplexSpectrogram, out_length: int) -> np.ndarray:
             f"requested {out_length} samples but frames only cover {buf_len - pad}"
         )
 
-    real_dtype = np.float32 if spec.data.dtype == np.complex64 else np.float64
-    win = _hann(win_length).astype(real_dtype)
-    frames = np.fft.irfft(spec.data, n=spec.fft_size, axis=2).astype(real_dtype)
+    frames = np.fft.irfft(spec.data, n=spec.fft_size, axis=2)
+    win = _hann(win_length).astype(frames.dtype)
+    win_sq = win**2
     frames *= win[None, None, :]
 
-    out = np.zeros((spec.num_channels, buf_len), dtype=real_dtype)
-    norm = np.zeros(buf_len, dtype=np.float64)
+    out = np.zeros((spec.num_channels, buf_len), dtype=frames.dtype)
+    norm = np.zeros(buf_len, dtype=frames.dtype)
     for t in range(spec.num_frames):
         start = t * hop
         out[:, start : start + win_length] += frames[:, t]
-        norm[start : start + win_length] += win.astype(np.float64) ** 2
-    out = out / np.maximum(norm, NORM_FLOOR).astype(real_dtype)[None, :]
+        norm[start : start + win_length] += win_sq
+    out /= np.maximum(norm, NORM_FLOOR)[None, :]
     return out[:, pad : pad + out_length]
 
 
-def to_magphase(spec: ComplexSpectrogram, eps: float = 1e-12) -> MagPhase:
-    re, im = spec.data.real, spec.data.imag
-    mag = np.sqrt(re**2 + im**2)
-    nonzero = mag > eps
-    safe = np.where(nonzero, mag, 1.0)
-    cos = np.where(nonzero, re / safe, 1.0)
-    sin = np.where(nonzero, im / safe, 0.0)
+def to_magphase(spec: ComplexSpectrogram) -> MagPhase:
+    mag = np.abs(spec.data)
+    phase = np.ones_like(spec.data)
+    np.divide(spec.data, mag, out=phase, where=mag > 0)
     return MagPhase(
         magnitude=mag,
-        phase_cos=cos,
-        phase_sin=sin,
+        phase=phase,
         win_length=spec.win_length,
         hop=spec.hop,
         fft_size=spec.fft_size,
@@ -144,5 +138,6 @@ def to_magphase(spec: ComplexSpectrogram, eps: float = 1e-12) -> MagPhase:
 
 
 def from_magphase(mp: MagPhase) -> ComplexSpectrogram:
-    data = mp.magnitude * (mp.phase_cos + 1j * mp.phase_sin)
-    return ComplexSpectrogram(data, win_length=mp.win_length, hop=mp.hop, fft_size=mp.fft_size)
+    return ComplexSpectrogram(
+        mp.magnitude * mp.phase, win_length=mp.win_length, hop=mp.hop, fft_size=mp.fft_size
+    )

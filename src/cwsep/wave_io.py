@@ -66,9 +66,10 @@ _FMT_IEEE_FLOAT = 3
 
 
 def read_wav(path) -> Waveform:
-    """Read a WAV file into a float64 Waveform.
+    """Read a WAV file into a float32 Waveform.
 
-    PCM samples are divided by 2^(bits-1); float data is passed through.
+    PCM samples are divided by 2^(bits-1), which is exact in float32 for
+    16 and 24 bit; float data is passed through.
     Unknown chunks are skipped. Raises a WavError subclass naming the
     failure for unreadable files.
     """
@@ -111,16 +112,16 @@ def read_wav(path) -> Waveform:
         raise MalformedWavError(f"{path}: bad sample rate {sample_rate}")
 
     if audio_format == _FMT_PCM and bits == 16:
-        x = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2").astype(np.float64)
+        x = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2").astype(np.float32)
         x /= 2.0**15
     elif audio_format == _FMT_PCM and bits == 24:
         usable = len(data) - len(data) % 3
         b = np.frombuffer(data[:usable], dtype=np.uint8).reshape(-1, 3).astype(np.int32)
         v = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
         v = np.where(v >= 1 << 23, v - (1 << 24), v)
-        x = v.astype(np.float64) / 2.0**23
+        x = v.astype(np.float32) / 2.0**23
     elif audio_format == _FMT_IEEE_FLOAT and bits == 32:
-        x = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4").astype(np.float64)
+        x = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4").astype(np.float32)
     else:
         raise UnsupportedWavError(
             f"{path}: unsupported codec (format tag {audio_format}, {bits} bit)"

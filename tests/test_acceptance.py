@@ -82,11 +82,10 @@ def test_criterion_3_cirm_identity_and_invariance():
     angle = rng.uniform(-np.pi, np.pi, shape)
     mp = MagPhase(
         magnitude=np.abs(rng.standard_normal(shape)),
-        phase_cos=np.cos(angle),
-        phase_sin=np.sin(angle),
+        phase=np.exp(1j * angle),
         win_length=512, hop=110, fft_size=512,
     )
-    mixture = mp.magnitude * (mp.phase_cos + 1j * mp.phase_sin)
+    mixture = mp.magnitude * mp.phase
 
     rec = apply_cirm(mp, identity_output(shape))
     identity_err = np.max(np.abs(rec.data - mixture))
@@ -119,7 +118,7 @@ def test_criterion_4_cirm_gradients():
     shape = (1, 1, n)
     angle = rng.uniform(-np.pi, np.pi, shape)
     mp = MagPhase(np.abs(rng.standard_normal(shape)) + 0.1,
-                  np.cos(angle), np.sin(angle), 512, 110, 2 * (n - 1))
+                  np.exp(1j * angle), 512, 110, 2 * (n - 1))
     out = NetworkOutput(
         mask_logits=rng.standard_normal(shape),
         phase_real=2 * rng.standard_normal(shape),

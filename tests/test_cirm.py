@@ -42,8 +42,7 @@ class TestApply:
         # |X| = 2, M = 0, Q = -3: relu(2*0.5 - 3) = 0 regardless of phase
         mp = MagPhase(
             magnitude=np.full((1, 1, 1), 2.0),
-            phase_cos=np.full((1, 1, 1), 0.6),
-            phase_sin=np.full((1, 1, 1), 0.8),
+            phase=np.full((1, 1, 1), 0.6 + 0.8j),
             win_length=512, hop=110, fft_size=0,
         )
         rec = apply_cirm(mp, constant_output((1, 1, 1), mask=0.0, q=-3.0))
@@ -54,8 +53,7 @@ class TestApply:
         # mag = relu(0.5 + 0.5) = 1, rotation 45 degrees
         mp = MagPhase(
             magnitude=np.ones((1, 1, 1)),
-            phase_cos=np.ones((1, 1, 1)),
-            phase_sin=np.zeros((1, 1, 1)),
+            phase=np.ones((1, 1, 1), dtype=complex),
             win_length=512, hop=110, fft_size=0,
         )
         s = 1 / np.sqrt(2)
@@ -124,8 +122,7 @@ class TestGradients:
         # d(mag)/dM = |X| * sigmoid'(0) = 2 * 0.25 = 0.5
         mp = MagPhase(
             magnitude=np.full((1, 1, 1), 2.0),
-            phase_cos=np.ones((1, 1, 1)),
-            phase_sin=np.zeros((1, 1, 1)),
+            phase=np.ones((1, 1, 1), dtype=complex),
             win_length=512, hop=110, fft_size=0,
         )
         out = constant_output((1, 1, 1), mask=0.0, q=0.5)
@@ -140,8 +137,7 @@ class TestGradients:
         angle = rng.uniform(-np.pi, np.pi, shape)
         mp = MagPhase(
             magnitude=np.abs(rng.standard_normal(shape)) + 0.1,
-            phase_cos=np.cos(angle),
-            phase_sin=np.sin(angle),
+            phase=np.exp(1j * angle),
             win_length=512, hop=110, fft_size=2 * (n - 1),
         )
         out = NetworkOutput(
@@ -201,3 +197,22 @@ def test_saturated_logits_raise_no_warning(dtype):
     assert np.allclose(np.abs(rec.data)[on], mp.magnitude[on], rtol=1e-6)
     assert not np.any(rec.data[~on])
     assert not np.any(g.mask_logits)
+
+
+def test_huge_phase_vectors_match_unit_vectors():
+    # squaring a float32 phase vector beyond ~1.8e19 overflows; the
+    # rotation depends only on the direction of (Pr, Pi)
+    mp, _ = random_magphase(seed=13)
+    shape = mp.magnitude.shape
+    rng = np.random.default_rng(14)
+    sr = rng.choice([-1.0, 1.0], shape).astype(np.float32)
+    si = rng.choice([-1.0, 1.0], shape).astype(np.float32)
+    zeros = np.zeros(shape, dtype=np.float32)
+    huge = NetworkOutput(zeros, np.float32(1e25) * sr, np.float32(1e25) * si, zeros)
+    unit = NetworkOutput(zeros, sr / np.sqrt(np.float32(2)), si / np.sqrt(np.float32(2)), zeros)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = apply_cirm(mp, huge)
+    ref = apply_cirm(mp, unit)
+    assert np.allclose(np.abs(rec.data), 0.5 * mp.magnitude, rtol=1e-6)
+    assert np.max(np.abs(rec.data - ref.data)) <= 1e-6 * np.max(mp.magnitude)

@@ -78,7 +78,14 @@ class TestEnergyConservation:
     def test_wrong_count(self):
         m = noise()
         with pytest.raises(MetricsError):
-            energy_conservation_loss(m, [m, m, m])
+            energy_conservation_loss(m, [])
+
+    def test_two_sources(self):
+        a, b = noise(seed=31), noise(seed=32)
+        mixture = Waveform(a.samples + b.samples, 44100)
+        assert energy_conservation_loss(mixture, [a, b]) == 0.0
+        expected = float(np.mean(np.abs(b.samples)))
+        assert abs(energy_conservation_loss(mixture, [a]) - expected) <= 1e-15
 
 
 class TestSdrGlobal:

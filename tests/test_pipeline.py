@@ -98,6 +98,26 @@ class TestSeparate:
         assert np.array_equal(serial.samples, threaded.samples)
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_is_float32(self, fb4, dtype):
+        x = noise_waveform(1.0, channels=2, seed=31)
+        est = separate(Waveform(x.samples.astype(dtype), 44100), IdentityModel(2), fb4)
+        assert [e.samples.dtype for e in est] == [np.float32, np.float32]
+
+    def test_failing_segment_is_named(self, fb4):
+        class BadSecondSegment:
+            calls = 0
+
+            def forward(self, mag):
+                self.calls += 1
+                shape = mag.shape if self.calls == 1 else (1, 1, 1)
+                return IdentityModel().forward(np.zeros(shape, dtype=mag.dtype))
+
+        x = noise_waveform(15.0, channels=2, seed=32)
+        with pytest.raises(PipelineError, match=r"segment 1 \(from 10 s\)"):
+            separate(x, BadSecondSegment(), fb4)
+
+
 class TestResidual:
     def test_vocals_equal_mixture(self):
         x = noise_waveform(1.0, channels=2, seed=28)

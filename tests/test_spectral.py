@@ -118,15 +118,13 @@ class TestMagPhase:
         spec = ComplexSpectrogram(np.full((1, 1, 257), 3 + 4j), 512, 110, 512)
         mp = to_magphase(spec)
         assert np.allclose(mp.magnitude, 5.0)
-        assert np.allclose(mp.phase_cos, 0.6)
-        assert np.allclose(mp.phase_sin, 0.8)
+        assert np.allclose(mp.phase, 0.6 + 0.8j)
 
     def test_degenerate_phase_convention(self):
         spec = ComplexSpectrogram(np.zeros((1, 1, 257), dtype=complex), 512, 110, 512)
         mp = to_magphase(spec)
         assert np.all(mp.magnitude == 0)
-        assert np.all(mp.phase_cos == 1.0)
-        assert np.all(mp.phase_sin == 0.0)
+        assert np.all(mp.phase == 1)
 
     def test_round_trip(self):
         rng = np.random.default_rng(6)
@@ -139,7 +137,7 @@ class TestMagPhase:
         rng = np.random.default_rng(7)
         data = rng.standard_normal((2, 4, 257)) + 1j * rng.standard_normal((2, 4, 257))
         mp = to_magphase(ComplexSpectrogram(data, 512, 110, 512))
-        norm = mp.phase_cos**2 + mp.phase_sin**2
+        norm = np.abs(mp.phase) ** 2
         assert np.max(np.abs(norm[mp.magnitude > 0] - 1.0)) <= 1e-6
 
 

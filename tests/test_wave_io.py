@@ -76,6 +76,30 @@ def test_float32_round_trip_bit_identical(tmp_path):
     assert np.array_equal(back.samples, x.astype(np.float32).astype(np.float64))
 
 
+@pytest.mark.parametrize("kind", ["pcm16", "pcm24", "float32"])
+def test_read_is_float32_and_exact(tmp_path, kind):
+    # every format decodes losslessly into float32: the values equal a
+    # float64 decode of the same bytes
+    rng = np.random.default_rng(5)
+    if kind == "pcm16":
+        v = np.r_[-(2**15), 2**15 - 1, rng.integers(-(2**15), 2**15, 998)]
+        payload, fmt, bits = v.astype("<i2").tobytes(), 1, 16
+        oracle = v / 2.0**15
+    elif kind == "pcm24":
+        v = np.r_[-(2**23), 2**23 - 1, rng.integers(-(2**23), 2**23, 998)]
+        payload = b"".join(int(i).to_bytes(3, "little", signed=True) for i in v)
+        fmt, bits = 1, 24
+        oracle = v / 2.0**23
+    else:
+        oracle = rng.standard_normal(1000).astype(np.float32).astype(np.float64)
+        payload, fmt, bits = oracle.astype("<f4").tobytes(), 3, 32
+    p = tmp_path / f"{kind}.wav"
+    p.write_bytes(make_wav_bytes(payload, audio_format=fmt, channels=2, bits=bits))
+    w = read_wav(p)
+    assert w.samples.dtype == np.float32
+    assert np.array_equal(w.samples.astype(np.float64), oracle.reshape(-1, 2).T)
+
+
 def test_pcm16_clamps_positive_one(tmp_path):
     p = tmp_path / "c.wav"
     write_wav(Waveform(np.array([[1.0]]), 44100), p, format="pcm16")
