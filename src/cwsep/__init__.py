@@ -17,7 +17,7 @@ from .metrics import (
     sdr_framewise_median,
     sdr_global,
 )
-from .pipeline import IdentityModel, desegment, instrumental_residual, segment, separate
+from .pipeline import IdentityModel, instrumental_residual, separate
 from .resunet import (
     PRESETS,
     Model,
@@ -71,8 +71,6 @@ __all__ = [
     "write_store",
     "read_store",
     "model_from_store",
-    "segment",
-    "desegment",
     "separate",
     "instrumental_residual",
     "IdentityModel",

@@ -65,13 +65,17 @@ def _check_shapes(mix: MagPhase, out: NetworkOutput):
 
 
 def _rotation(out: NetworkOutput):
-    """Unit phasor of (Pr, Pi) and its eps-stabilized length.
+    """Unit phasor of (Pr, Pi) and the inverse of its eps-stabilized length.
 
-    hypot keeps the length finite for any finite float32 phase vector,
-    where squaring overflows once |Pr| or |Pi| exceeds about 1.8e19.
+    The length is taken of the halved vector: hypot overflows float32
+    once |Pr| and |Pi| both come within sqrt(2) of the float32 maximum,
+    while half of any finite vector stays in range. Halving is exact, so
+    the phasor is unchanged; the inverse length may underflow to a
+    subnormal, which is harmless.
     """
-    r = np.hypot(np.hypot(out.phase_real, out.phase_imag), DEFAULT_EPS**0.5)
-    return (out.phase_real + 1j * out.phase_imag) / r, r
+    pr, pi = 0.5 * out.phase_real, 0.5 * out.phase_imag
+    half = np.hypot(np.hypot(pr, pi), 0.5 * DEFAULT_EPS**0.5)
+    return (pr + 1j * pi) / half, 0.5 / half
 
 
 def apply_cirm(mix: MagPhase, out: NetworkOutput) -> ComplexSpectrogram:
@@ -101,7 +105,7 @@ def cirm_gradients(
     pre = mix.magnitude * sig + out.mag_residual
     active = pre > 0
     mag = np.maximum(pre, 0.0)
-    rot, r = _rotation(out)
+    rot, inv_r = _rotation(out)
     upstream = upstream_re + 1j * upstream_im
 
     # magnitude path: cotangent projected on the output phase
@@ -112,7 +116,7 @@ def cirm_gradients(
     # rotation path: cotangent of the unit phasor, whose Jacobian w.r.t.
     # (Pr, Pi) is (I - rot rot^T) / r with the eps term folded into r
     g_rot = mag * upstream * np.conj(mix.phase)
-    g_phase = (g_rot - rot * np.real(g_rot * np.conj(rot))) / r
+    g_phase = (g_rot - rot * np.real(g_rot * np.conj(rot))) * inv_r
 
     return CirmGradients(
         mask_logits=g_mask,

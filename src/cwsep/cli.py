@@ -74,6 +74,10 @@ def cmd_separate(args) -> int:
         raise UsageError("--sources must name at least one source")
     if args.residual_instrumental and "vocals" not in sources:
         raise UsageError("--residual-instrumental requires 'vocals' among --sources")
+    # CWS_THREADS: worker threads of separate, 0 = one per CPU
+    threads = os.environ.get("CWS_THREADS", "1").strip()
+    if not threads.isdecimal():
+        raise UsageError(f"CWS_THREADS must be a whole number >= 0, got {threads!r}")
 
     try:
         mixture = read_wav(args.input)
@@ -94,8 +98,7 @@ def cmd_separate(args) -> int:
             f"but --sources names {len(sources)}"
         )
 
-    workers = int(os.environ.get("CWS_THREADS", "1"))
-    estimates = pipeline.separate(mixture, model, fb, workers=workers)
+    estimates = pipeline.separate(mixture, model, fb, workers=int(threads))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,8 @@
 """RIFF/WAVE reading and writing.
 
-Supports uncompressed PCM (16/24 bit) and IEEE float32, mono or stereo.
-Integer samples are scaled to [-1, 1) by 2^(bits-1). No resampling, no
-compressed codecs.
+Supports uncompressed PCM (16/24 bit) and IEEE float32, mono or stereo,
+with a plain or a WAVE_FORMAT_EXTENSIBLE fmt chunk. Integer samples are
+scaled to [-1, 1) by 2^(bits-1). No resampling, no compressed codecs.
 """
 
 from __future__ import annotations
@@ -63,6 +63,9 @@ class Waveform:
 
 _FMT_PCM = 1
 _FMT_IEEE_FLOAT = 3
+_FMT_EXTENSIBLE = 0xFFFE
+# bytes 2..15 of every KSDATAFORMAT_SUBTYPE_* GUID; bytes 0..1 hold the format tag
+_KSDATAFORMAT_SUFFIX = bytes.fromhex("000000001000800000aa00389b71")
 
 
 def read_wav(path) -> Waveform:
@@ -89,7 +92,7 @@ def read_wav(path) -> Waveform:
         if cid == b"fmt ":
             if size < 16 or body_start + 16 > len(raw):
                 raise MalformedWavError(f"{path}: fmt chunk too short")
-            fmt = struct.unpack_from("<HHIIHH", raw, body_start)
+            fmt = raw[body_start : body_start + size]
         elif cid == b"data":
             if body_start + size > len(raw):
                 raise TruncatedWavError(
@@ -105,7 +108,14 @@ def read_wav(path) -> Waveform:
     if data is None:
         raise MalformedWavError(f"{path}: missing data chunk")
 
-    audio_format, channels, sample_rate, _, block_align, bits = fmt
+    audio_format, channels, sample_rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if audio_format == _FMT_EXTENSIBLE:
+        if len(fmt) < 40:
+            raise MalformedWavError(f"{path}: extensible fmt chunk shorter than 40 bytes")
+        subformat = fmt[24:40]
+        if subformat[2:] != _KSDATAFORMAT_SUFFIX:
+            raise UnsupportedWavError(f"{path}: unknown extensible subformat {subformat.hex()}")
+        (audio_format,) = struct.unpack_from("<H", subformat)
     if channels not in (1, 2):
         raise UnsupportedWavError(f"{path}: {channels} channels not supported")
     if sample_rate <= 0:

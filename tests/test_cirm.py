@@ -216,3 +216,27 @@ def test_huge_phase_vectors_match_unit_vectors():
     ref = apply_cirm(mp, unit)
     assert np.allclose(np.abs(rec.data), 0.5 * mp.magnitude, rtol=1e-6)
     assert np.max(np.abs(rec.data - ref.data)) <= 1e-6 * np.max(mp.magnitude)
+
+
+def test_phase_vectors_near_float32_max():
+    # hypot itself overflows float32 once |Pr| and |Pi| are both near
+    # 3e38; the pyproject filter turns that RuntimeWarning into an error
+    mp, _ = random_magphase(seed=15)
+    shape = mp.magnitude.shape
+    rng = np.random.default_rng(16)
+    sr = rng.choice([-1.0, 1.0], shape).astype(np.float32)
+    si = rng.choice([-1.0, 1.0], shape).astype(np.float32)
+    zeros = np.zeros(shape, dtype=np.float32)
+    edge = NetworkOutput(zeros, np.float32(3e38) * sr, np.float32(3e38) * si, zeros)
+    unit = NetworkOutput(zeros, sr / np.sqrt(np.float32(2)), si / np.sqrt(np.float32(2)), zeros)
+    up_re, up_im = rng.standard_normal(shape), rng.standard_normal(shape)
+    rec = apply_cirm(mp, edge)
+    g = cirm_gradients(mp, edge, up_re, up_im)
+    ref = apply_cirm(mp, unit)
+    g_ref = cirm_gradients(mp, unit, up_re, up_im)
+    assert np.max(np.abs(rec.data - ref.data)) <= 1e-6 * np.max(mp.magnitude)
+    assert np.allclose(g.mask_logits, g_ref.mask_logits, rtol=1e-5, atol=1e-6)
+    assert np.allclose(g.mag_residual, g_ref.mag_residual, rtol=1e-5, atol=1e-6)
+    # the rotation hardly moves for a vector this long
+    assert np.all(np.isfinite(g.phase_real)) and np.all(np.isfinite(g.phase_imag))
+    assert np.max(np.abs(g.phase_real) + np.abs(g.phase_imag)) <= 1e-30

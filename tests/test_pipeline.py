@@ -6,10 +6,8 @@ from cwsep import (
     PRESETS,
     Waveform,
     build,
-    desegment,
     init_random,
     instrumental_residual,
-    segment,
     separate,
 )
 from cwsep.pipeline import PipelineError
@@ -17,30 +15,11 @@ from cwsep.pipeline import PipelineError
 from conftest import noise_waveform
 
 
-class TestSegment:
-    def test_25s_split(self):
-        x = noise_waveform(25.0)
-        seg = segment(x)
-        assert [s.shape[1] for s in seg.segments] == [441000, 441000, 441000]
-        assert seg.true_lengths == [441000, 441000, 220500]
-        # the tail is padded with zeros
-        assert not seg.segments[-1][:, 220500:].any()
-
-    def test_exact_fit_no_padding(self):
-        seg = segment(noise_waveform(10.0))
-        assert len(seg.segments) == 1
-        assert seg.true_lengths == [441000]
-
-    def test_round_trip_exact(self):
-        x = noise_waveform(13.7, channels=2)
-        assert np.array_equal(desegment(segment(x)).samples, x.samples)
-
-    def test_empty_rejected(self):
-        with pytest.raises(PipelineError):
-            segment(Waveform(np.zeros((1, 0)), 44100))
-
-
 class TestSeparate:
+    def test_empty_rejected(self, fb4):
+        with pytest.raises(PipelineError):
+            separate(Waveform(np.zeros((1, 0)), 44100), IdentityModel(), fb4)
+
     def test_wrong_rate_rejected(self, fb4):
         with pytest.raises(PipelineError):
             separate(Waveform(np.zeros((2, 48000)), 48000), IdentityModel(), fb4)
@@ -83,20 +62,38 @@ class TestSeparate:
         assert outs[0].samples.shape == (2, x.num_samples)
         assert np.all(np.isfinite(outs[0].samples))
 
-    def test_segment_independence(self, fb4):
-        x = noise_waveform(20.0, channels=2, seed=26)
-        whole = separate(x, IdentityModel(), fb4)[0]
-        first = separate(Waveform(x.samples[:, :441000], 44100), IdentityModel(), fb4)[0]
-        second = separate(Waveform(x.samples[:, 441000:], 44100), IdentityModel(), fb4)[0]
-        stitched = np.concatenate([first.samples, second.samples], axis=1)
-        assert np.array_equal(whole.samples, stitched)
+    @pytest.mark.parametrize("seconds", [20.0, 25.0])
+    def test_identity_whole_signal_snr(self, fb4, seconds):
+        # no edge trimming: segment boundaries and the delayed tail count;
+        # at 20 s the last segment ends exactly at the end of the input
+        x = noise_waveform(seconds, channels=2, seed=26)
+        est = separate(x, IdentityModel(), fb4)[0]
+        s, sh = x.samples, est.samples
+        snr = 10 * np.log10(np.sum(s**2) / np.sum((s - sh) ** 2))
+        assert snr >= 55.0
+
+    @pytest.mark.parametrize(
+        "bank, shape", [("fb2", (4, 2005, 257)), ("fb4", (8, 1003, 257)), ("fb8", (16, 502, 257))]
+    )
+    def test_every_segment_has_one_network_shape(self, request, bank, shape):
+        # the last segment also carries the filter tail, yet the network
+        # sees the same frames as for a plain 10 s segment
+        shapes = []
+
+        class Recorder(IdentityModel):
+            def forward(self, mag):
+                shapes.append(mag.shape)
+                return super().forward(mag)
+
+        x = noise_waveform(20.5, channels=2, seed=33)
+        separate(x, Recorder(), request.getfixturevalue(bank))
+        assert shapes == [shape] * 3
 
     def test_workers_do_not_change_result(self, fb4):
         x = noise_waveform(20.0, channels=2, seed=27)
         serial = separate(x, IdentityModel(), fb4, workers=1)[0]
         threaded = separate(x, IdentityModel(), fb4, workers=4)[0]
         assert np.array_equal(serial.samples, threaded.samples)
-
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_output_is_float32(self, fb4, dtype):

@@ -14,18 +14,39 @@ from cwsep.wave_io import (
 )
 
 
+# KSDATAFORMAT_SUBTYPE_PCM is 00000001-0000-0010-8000-00aa00389b71; the
+# float subtype differs only in its first field (3)
+KS_SUFFIX = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def extensible_fmt(audio_format, channels, sample_rate, bits, subformat=None):
+    """A 40-byte WAVE_FORMAT_EXTENSIBLE fmt body carrying `audio_format` in its GUID."""
+    block_align = channels * bits // 8
+    if subformat is None:
+        subformat = struct.pack("<H", audio_format) + KS_SUFFIX
+    return (
+        struct.pack("<HHIIHH", 0xFFFE, channels, sample_rate, sample_rate * block_align,
+                    block_align, bits)
+        + struct.pack("<HHI", 22, bits, (1 << channels) - 1)
+        + subformat
+    )
+
+
 def make_wav_bytes(payload, audio_format=1, channels=1, sample_rate=44100, bits=16,
-                   declared_size=None):
+                   declared_size=None, fmt_body=None):
     block_align = channels * bits // 8
     if declared_size is None:
         declared_size = len(payload)
+    if fmt_body is None:
+        fmt_body = struct.pack("<HHIIHH", audio_format, channels, sample_rate,
+                               sample_rate * block_align, block_align, bits)
     return (
         b"RIFF"
-        + struct.pack("<I", 36 + len(payload))
+        + struct.pack("<I", 20 + len(fmt_body) + len(payload))
         + b"WAVE"
         + b"fmt "
-        + struct.pack("<IHHIIHH", 16, audio_format, channels, sample_rate,
-                      sample_rate * block_align, block_align, bits)
+        + struct.pack("<I", len(fmt_body))
+        + fmt_body
         + b"data"
         + struct.pack("<I", declared_size)
         + payload
@@ -76,16 +97,19 @@ def test_float32_round_trip_bit_identical(tmp_path):
     assert np.array_equal(back.samples, x.astype(np.float32).astype(np.float64))
 
 
-@pytest.mark.parametrize("kind", ["pcm16", "pcm24", "float32"])
+@pytest.mark.parametrize(
+    "kind",
+    ["pcm16", "pcm24", "float32", "pcm16-extensible", "pcm24-extensible", "float32-extensible"],
+)
 def test_read_is_float32_and_exact(tmp_path, kind):
     # every format decodes losslessly into float32: the values equal a
-    # float64 decode of the same bytes
+    # float64 decode of the same bytes, with a plain or an extensible fmt
     rng = np.random.default_rng(5)
-    if kind == "pcm16":
+    if kind.startswith("pcm16"):
         v = np.r_[-(2**15), 2**15 - 1, rng.integers(-(2**15), 2**15, 998)]
         payload, fmt, bits = v.astype("<i2").tobytes(), 1, 16
         oracle = v / 2.0**15
-    elif kind == "pcm24":
+    elif kind.startswith("pcm24"):
         v = np.r_[-(2**23), 2**23 - 1, rng.integers(-(2**23), 2**23, 998)]
         payload = b"".join(int(i).to_bytes(3, "little", signed=True) for i in v)
         fmt, bits = 1, 24
@@ -93,8 +117,10 @@ def test_read_is_float32_and_exact(tmp_path, kind):
     else:
         oracle = rng.standard_normal(1000).astype(np.float32).astype(np.float64)
         payload, fmt, bits = oracle.astype("<f4").tobytes(), 3, 32
+    body = extensible_fmt(fmt, 2, 44100, bits) if kind.endswith("extensible") else None
     p = tmp_path / f"{kind}.wav"
-    p.write_bytes(make_wav_bytes(payload, audio_format=fmt, channels=2, bits=bits))
+    p.write_bytes(make_wav_bytes(payload, audio_format=fmt, channels=2, bits=bits,
+                                 fmt_body=body))
     w = read_wav(p)
     assert w.samples.dtype == np.float32
     assert np.array_equal(w.samples.astype(np.float64), oracle.reshape(-1, 2).T)
@@ -152,6 +178,28 @@ def test_non_riff_rejected(tmp_path):
 def test_unsupported_codec_rejected(tmp_path):
     p = tmp_path / "u.wav"
     p.write_bytes(make_wav_bytes(b"\x00\x00", audio_format=2))
+    with pytest.raises(UnsupportedWavError):
+        read_wav(p)
+
+
+def test_short_extensible_fmt_rejected(tmp_path):
+    # an 18-byte extensible fmt chunk ends before the subformat GUID
+    body = extensible_fmt(1, 1, 44100, 16)[:18]
+    p = tmp_path / "s.wav"
+    p.write_bytes(make_wav_bytes(b"\x00\x00", fmt_body=body))
+    with pytest.raises(MalformedWavError):
+        read_wav(p)
+
+
+@pytest.mark.parametrize(
+    "subformat",
+    [struct.pack("<H", 2) + KS_SUFFIX, struct.pack("<H", 1) + bytes(14)],
+    ids=["adpcm", "foreign-guid"],
+)
+def test_unknown_extensible_subformat_rejected(tmp_path, subformat):
+    body = extensible_fmt(1, 1, 44100, 16, subformat=subformat)
+    p = tmp_path / "x.wav"
+    p.write_bytes(make_wav_bytes(b"\x00\x00", fmt_body=body))
     with pytest.raises(UnsupportedWavError):
         read_wav(p)
 
