@@ -46,9 +46,12 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
 
     Mono inputs are duplicated to stereo here. `workers` threads run the
     network stage of the segments and the per-source synthesis (0 = one
-    per CPU); output order and values are independent of scheduling. A
+    per CPU, negative raises PipelineError before any work); output order
+    and values are independent of scheduling. A
     failing segment raises PipelineError naming its index and start time.
     """
+    if workers < 0:
+        raise PipelineError(f"workers must be >= 0 (0 = one per CPU), got {workers}")
     if x.sample_rate != PIPELINE_RATE:
         raise PipelineError(
             f"pipeline requires {PIPELINE_RATE} Hz input, got {x.sample_rate} Hz"

@@ -12,6 +12,15 @@ Layer counting rule: every convolution counts, including 1x1 shortcuts,
 upsample convs, and the head. The bundled presets hit 276 and 166 conv
 layers under this rule.
 
+Convolutions are im2col + one GEMM per layer: a 3x3 conv copies the
+nine shifted views of its input into a channel-first column matrix
+[C*3*3, H*W] with zero borders and multiplies [O, C*3*3] weights by it;
+a 1x1 conv multiplies [O, C] weights by the input viewed as [C, H*W].
+Each `forward` call allocates one column buffer, sized for its widest
+3x3 layer, and reuses it for every layer; the buffer lives only in that
+call, so threads may share one Model. Bias, leaky-ReLU and the residual
+add work in place on each conv's fresh output.
+
 Inference only; parameters live in a flat name -> float32 array table
 serialized via the CWSW container format.
 """
@@ -24,7 +33,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cirm import NetworkOutput
 
@@ -186,20 +194,22 @@ class Model:
         pad_t = (-t0) % mult
         pad_f = (-f0) % mult
         h = np.pad(mag, ((0, 0), (0, pad_t), (0, pad_f)))
+        # one im2col buffer per call, not per model: threads share a model
+        cols = np.empty(_cols_size(cfg, h.shape[1], h.shape[2]), dtype=np.float32)
 
         skips = []
         for lvl in range(cfg.num_levels):
             for b in range(cfg.blocks_per_level[lvl]):
-                h = self._block(h, f"enc{lvl}.block{b}")
+                h = self._block(h, f"enc{lvl}.block{b}", cols)
             skips.append(h)
             h = _avgpool2(h)
         for lvl in reversed(range(cfg.num_levels)):
             h = _upsample2(h)
-            h = _leaky(self._conv(h, f"dec{lvl}.upsample"))
+            h = _leaky(self._conv(h, f"dec{lvl}.upsample", cols))
             h = np.concatenate([h, skips[lvl]], axis=0)
             for b in range(cfg.blocks_per_level[lvl]):
-                h = self._block(h, f"dec{lvl}.block{b}")
-        out = self._conv(h, "head")[:, :t0, :f0]
+                h = self._block(h, f"dec{lvl}.block{b}", cols)
+        out = self._conv(h, "head", cols)[:, :t0, :f0]
 
         per_source = np.split(out, cfg.out_sources, axis=0)
         results = []
@@ -210,39 +220,72 @@ class Model:
             )
         return results
 
-    def _conv(self, x, prefix):
+    def _conv(self, x, prefix, cols=None):
         w = self.params[f"{prefix}.weight"]
         b = self.params.get(f"{prefix}.bias")
-        return _conv2d(x, w, b)
+        return _conv2d(x, w, b, cols)
 
-    def _block(self, x, prefix):
-        y = _leaky(self._conv(x, f"{prefix}.conv1"))
-        y = self._conv(y, f"{prefix}.conv2")
+    def _block(self, x, prefix, cols=None):
+        y = _leaky(self._conv(x, f"{prefix}.conv1", cols))
+        y = self._conv(y, f"{prefix}.conv2", cols)
         sc_name = f"{prefix}.shortcut.weight"
-        if sc_name in self.params:
-            sc = _conv2d(x, self.params[sc_name], None)
-        else:
-            sc = x
-        return y + sc
+        y += _conv2d(x, self.params[sc_name], None) if sc_name in self.params else x
+        return y
+
+
+def _cols_size(config, hgt, wid):
+    """Elements of the largest 3x3 column matrix [C*9, H*W] in one forward pass.
+
+    At level l (H and W halved l times) the 3x3 convs read the previous
+    level's channels (enc block 0), 2x this level's (dec block 0, skip
+    concatenated) and the next level's (upsample conv).
+    """
+    chans = (config.in_channels,) + config.channels_per_level + (0,)
+    return max(
+        9 * max(chans[lvl], 2 * chans[lvl + 1], chans[lvl + 2]) * (hgt >> lvl) * (wid >> lvl)
+        for lvl in range(config.num_levels)
+    )
 
 
 def _leaky(x):
-    return np.where(x >= 0, x, LEAKY_SLOPE * x)
+    """Leaky ReLU in place: max(x, slope * x) for 0 < slope < 1."""
+    return np.maximum(x, LEAKY_SLOPE * x, out=x)
 
 
-def _conv2d(x, w, b):
-    """x [C,H,W], w [O,C,kh,kw] with kh=kw in {1,3}, zero padding to 'same'."""
+def _conv2d(x, w, b, cols=None):
+    """x [C,H,W], w [O,C,kh,kw] with kh=kw in {1,3}, zero padding to 'same'.
+
+    Returns a fresh float32 [O,H,W]. A 1x1 conv is one GEMM on x viewed
+    as [C, H*W]. A 3x3 conv copies the nine shifted views of x into a
+    channel-first column matrix [C,3,3,H,W] whose border rows and
+    columns are written as zeros (no padded copy of x), then computes
+    w[O, C*9] @ cols[C*9, H*W]. `cols` is flat float32 scratch of at
+    least C*9*H*W elements, reused across the layers of one forward
+    call; without it a buffer is allocated for this call.
+    """
     o, c, kh, kw = w.shape
+    _, hgt, wid = x.shape
     if kh == 1:
-        y = np.tensordot(w[:, :, 0, 0], x, axes=([1], [0]))
+        y = w.reshape(o, c) @ x.reshape(c, hgt * wid)
     else:
-        _, hgt, wid = x.shape
-        xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-        v = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # [C,H,W,kh,kw]
-        flat = v.transpose(1, 2, 0, 3, 4).reshape(hgt * wid, c * kh * kw)
-        y = (flat @ w.reshape(o, -1).T).T.reshape(o, hgt, wid)
+        n = c * 9 * hgt * wid
+        buf = np.empty(n, dtype=np.float32) if cols is None else cols[:n]
+        buf = buf.reshape(c, 3, 3, hgt, wid)
+        for i in range(3):
+            for j in range(3):
+                dst = buf[:, i, j]
+                # output row r reads input row r + i - 1 (likewise columns)
+                r0, r1 = max(0, 1 - i), min(hgt, hgt + 1 - i)
+                c0, c1 = max(0, 1 - j), min(wid, wid + 1 - j)
+                dst[:, :r0] = 0
+                dst[:, r1:] = 0
+                dst[:, r0:r1, :c0] = 0
+                dst[:, r0:r1, c1:] = 0
+                dst[:, r0:r1, c0:c1] = x[:, r0 + i - 1 : r1 + i - 1, c0 + j - 1 : c1 + j - 1]
+        y = w.reshape(o, -1) @ buf.reshape(c * 9, hgt * wid)
+    y = y.reshape(o, hgt, wid)
     if b is not None:
-        y = y + b[:, None, None]
+        y += b[:, None, None]
     return y
 
 

@@ -95,6 +95,24 @@ class TestSeparate:
         threaded = separate(x, IdentityModel(), fb4, workers=4)[0]
         assert np.array_equal(serial.samples, threaded.samples)
 
+    def test_workers_do_not_change_network_result(self, fb4):
+        # segments on two threads share one Model; each forward call must
+        # keep its own im2col buffer
+        model = init_random(build(PRESETS["tiny"]), seed=34)
+        x = noise_waveform(20.0, channels=2, seed=35)
+        serial = separate(x, model, fb4, workers=1)[0]
+        threaded = separate(x, model, fb4, workers=2)[0]
+        assert np.array_equal(serial.samples, threaded.samples)
+
+    def test_negative_workers_rejected_before_work(self, fb4, monkeypatch):
+        def no_analysis(*args):
+            raise AssertionError("analysis ran")
+
+        monkeypatch.setattr("cwsep.filterbank.analysis", no_analysis)
+        x = noise_waveform(1.0, channels=2, seed=36)
+        with pytest.raises(PipelineError, match="workers"):
+            separate(x, IdentityModel(), fb4, workers=-1)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_output_is_float32(self, fb4, dtype):
         x = noise_waveform(1.0, channels=2, seed=31)

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from cwsep.resunet import (
     save_weights,
     write_store,
 )
+from cwsep.resunet import _conv2d
 
 TINY = PRESETS["tiny"]
 
@@ -95,6 +99,21 @@ class TestForward:
         assert np.array_equal(a.mask_logits, b.mask_logits)
         assert np.array_equal(a.mag_residual, b.mag_residual)
 
+    def test_threads_sharing_a_model_match_serial(self):
+        # each forward call owns its im2col buffer; more threads than
+        # cores and a short switch interval make any sharing show
+        model = init_random(build(TINY), seed=17)
+        xs = [random_input(t=64, seed=s) for s in range(8)]
+        serial = [model.forward(x)[0].mask_logits for x in xs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = [o[0].mask_logits for o in pool.map(model.forward, xs, timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+
     def test_wrong_channel_count_rejected(self):
         model = build(TINY)
         with pytest.raises(ValueError):
@@ -131,6 +150,43 @@ class TestForward:
         model = build(cfg)
         x = np.random.default_rng(11).standard_normal((4, 8, 8)).astype(np.float32)
         assert np.array_equal(model._block(x, "enc0.block0"), x)
+
+
+def conv_oracle(x, w, b):
+    """Literal float64 'same' conv: one output pixel and kernel tap at a time."""
+    o, _, k, _ = w.shape
+    _, hgt, wid = x.shape
+    x, w = x.astype(np.float64), w.astype(np.float64)
+    y = np.zeros((o, hgt, wid))
+    for p in range(hgt):
+        for q in range(wid):
+            for i in range(k):
+                for j in range(k):
+                    u, v = p + i - k // 2, q + j - k // 2
+                    if 0 <= u < hgt and 0 <= v < wid:
+                        y[:, p, q] += w[:, :, i, j] @ x[:, u, v]
+            if b is not None:
+                y[:, p, q] += b
+    return y
+
+
+class TestConv2d:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("c, o", [(3, 5), (4, 2)])
+    @pytest.mark.parametrize("hgt, wid", [(1, 1), (1, 7), (5, 1), (3, 5), (7, 6)])
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_matches_oracle(self, k, c, o, hgt, wid, bias, reuse):
+        rng = np.random.default_rng(hgt * 100 + wid * 10 + c)
+        x = rng.standard_normal((c, hgt, wid)).astype(np.float32)
+        w = rng.standard_normal((o, c, k, k)).astype(np.float32)
+        b = rng.standard_normal(o).astype(np.float32) if bias else None
+        # a reused buffer is larger than needed and holds stale values
+        cols = np.full(9 * c * hgt * wid + 11, np.nan, np.float32) if reuse else None
+        got = _conv2d(x, w, b, cols)
+        ref = conv_oracle(x, w, b)
+        assert got.shape == (o, hgt, wid) and got.dtype == np.float32
+        assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
 
 
 class TestWeightStore:
