@@ -32,7 +32,7 @@ from .resunet import (
     save_weights,
     write_store,
 )
-from .spectral import ComplexSpectrogram, MagPhase, from_magphase, istft, stft, to_magphase
+from .spectral import ComplexSpectrogram, MagPhase, istft, stft_streams, to_magphase
 from .wave_io import Waveform, read_wav, write_wav
 
 __version__ = "0.1.0"
@@ -50,10 +50,9 @@ __all__ = [
     "measure_reconstruction",
     "ComplexSpectrogram",
     "MagPhase",
-    "stft",
+    "stft_streams",
     "istft",
     "to_magphase",
-    "from_magphase",
     "NetworkOutput",
     "CirmGradients",
     "apply_cirm",

@@ -84,7 +84,7 @@ def apply_cirm(mix: MagPhase, out: NetworkOutput) -> ComplexSpectrogram:
     rot, _ = _rotation(out)
     mag = np.maximum(mix.magnitude * expit(out.mask_logits) + out.mag_residual, 0.0)
     data = mag * mix.phase * rot
-    return ComplexSpectrogram(data, win_length=mix.win_length, hop=mix.hop, fft_size=mix.fft_size)
+    return ComplexSpectrogram(data)
 
 
 def cirm_gradients(

@@ -54,7 +54,14 @@ def cmd_recon_test(args) -> int:
     else:
         probe = _noise_probe(args.noise_seconds)
 
-    bands_list = [int(b) for b in args.bands_list.split(",")]
+    supported = {str(b): b for b in fbmod.SUPPORTED_BANDS}
+    entries = [e.strip() for e in args.bands_list.split(",")]
+    for entry in entries:
+        if entry not in supported:
+            raise UsageError(
+                f"--bands-list entry {entry!r} is not one of {fbmod.SUPPORTED_BANDS}"
+            )
+    bands_list = [supported[e] for e in entries]
     results = []
     print(f"{'bands':>6} {'snr_db':>10} {'max_abs_err':>12}", file=sys.stderr)
     for bands in bands_list:

@@ -70,6 +70,13 @@ class FilterBank:
             raise ValueError("filter matrices must be [num_bands, taps]")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(s))):
             raise ValueError("filter coefficients must be finite")
+        # the cascade's impulse response spans 2 * (taps - 1) samples
+        max_delay = 2 * (self.taps - 1)
+        d = self.system_delay
+        integral = isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+        if not (integral and 0 <= d <= max_delay):
+            raise ValueError(f"system_delay must be an integer in [0, {max_delay}], got {d!r}")
+        object.__setattr__(self, "system_delay", int(d))
         object.__setattr__(self, "analysis", a)
         object.__setattr__(self, "synthesis", s)
 
@@ -116,10 +123,6 @@ class SubbandSignal:
     @property
     def num_bands(self) -> int:
         return self.samples.shape[1]
-
-    @property
-    def band_rate(self) -> float:
-        return self.source_rate / self.num_bands
 
     def stacked(self) -> np.ndarray:
         """Channel-major [channels*bands, length] view of the band signals."""

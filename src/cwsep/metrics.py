@@ -23,6 +23,8 @@ class MetricsError(Exception):
 def _check_shapes(a: Waveform, b: Waveform):
     if a.samples.shape != b.samples.shape:
         raise MetricsError(f"shape mismatch: {a.samples.shape} vs {b.samples.shape}")
+    if a.sample_rate != b.sample_rate:
+        raise MetricsError(f"sample rate mismatch: {a.sample_rate} Hz vs {b.sample_rate} Hz")
 
 
 def l1_loss(a: Waveform, b: Waveform) -> float:

@@ -79,12 +79,9 @@ class ModelConfig:
         return len(self.blocks_per_level)
 
     def config_hash(self) -> str:
-        doc = {
-            "in_channels": self.in_channels,
-            "out_sources": self.out_sources,
-            "blocks_per_level": list(self.blocks_per_level),
-            "channels_per_level": list(self.channels_per_level),
-        }
+        """Hash of the architecture; the layer-count target does not change it."""
+        doc = self.to_dict()
+        del doc["target_layer_count"]
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
     def to_dict(self) -> dict:

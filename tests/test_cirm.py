@@ -15,7 +15,7 @@ from cwsep.spectral import ComplexSpectrogram, MagPhase, to_magphase
 def random_magphase(shape=(2, 6, 257), seed=0):
     rng = np.random.default_rng(seed)
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return to_magphase(ComplexSpectrogram(data, 512, 110, 512)), data
+    return to_magphase(ComplexSpectrogram(data)), data
 
 
 def constant_output(shape, mask=0.0, pr=1.0, pi=0.0, q=0.0):
@@ -43,7 +43,6 @@ class TestApply:
         mp = MagPhase(
             magnitude=np.full((1, 1, 1), 2.0),
             phase=np.full((1, 1, 1), 0.6 + 0.8j),
-            win_length=512, hop=110, fft_size=0,
         )
         rec = apply_cirm(mp, constant_output((1, 1, 1), mask=0.0, q=-3.0))
         assert np.all(rec.data == 0)
@@ -54,7 +53,6 @@ class TestApply:
         mp = MagPhase(
             magnitude=np.ones((1, 1, 1)),
             phase=np.ones((1, 1, 1), dtype=complex),
-            win_length=512, hop=110, fft_size=0,
         )
         s = 1 / np.sqrt(2)
         rec = apply_cirm(mp, constant_output((1, 1, 1), q=0.5, pr=s, pi=s))
@@ -123,7 +121,6 @@ class TestGradients:
         mp = MagPhase(
             magnitude=np.full((1, 1, 1), 2.0),
             phase=np.ones((1, 1, 1), dtype=complex),
-            win_length=512, hop=110, fft_size=0,
         )
         out = constant_output((1, 1, 1), mask=0.0, q=0.5)
         g = cirm_gradients(mp, out, np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
@@ -138,7 +135,6 @@ class TestGradients:
         mp = MagPhase(
             magnitude=np.abs(rng.standard_normal(shape)) + 0.1,
             phase=np.exp(1j * angle),
-            win_length=512, hop=110, fft_size=2 * (n - 1),
         )
         out = NetworkOutput(
             mask_logits=rng.standard_normal(shape),

