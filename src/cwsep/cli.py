@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -33,7 +34,16 @@ def _noise_probe(seconds: float, sample_rate: int = 44100) -> Waveform:
     return Waveform(0.1 * rng.standard_normal((1, n)), sample_rate)
 
 
+def _check_taps(taps: int, bands_list) -> None:
+    multiple = math.lcm(*(2 * b for b in bands_list))
+    if taps <= 0 or taps % multiple:
+        raise UsageError(
+            f"--taps must be a positive multiple of {multiple} (2 x bands), got {taps}"
+        )
+
+
 def cmd_design_filters(args) -> int:
+    _check_taps(args.taps, [args.bands])
     fb = fbmod.design_filterbank(num_bands=args.bands, taps=args.taps)
     Path(args.out).write_text(fb.to_json())
     report = fbmod.measure_reconstruction(fb, _noise_probe(10.0))
@@ -49,11 +59,6 @@ def cmd_design_filters(args) -> int:
 def cmd_recon_test(args) -> int:
     if args.input is None and args.noise_seconds is None:
         raise UsageError("either --input or --noise-seconds is required")
-    if args.input is not None:
-        probe = read_wav(args.input)
-    else:
-        probe = _noise_probe(args.noise_seconds)
-
     supported = {str(b): b for b in fbmod.SUPPORTED_BANDS}
     entries = [e.strip() for e in args.bands_list.split(",")]
     for entry in entries:
@@ -62,6 +67,11 @@ def cmd_recon_test(args) -> int:
                 f"--bands-list entry {entry!r} is not one of {fbmod.SUPPORTED_BANDS}"
             )
     bands_list = [supported[e] for e in entries]
+    _check_taps(args.taps, bands_list)
+    if args.input is not None:
+        probe = read_wav(args.input)
+    else:
+        probe = _noise_probe(args.noise_seconds)
     results = []
     print(f"{'bands':>6} {'snr_db':>10} {'max_abs_err':>12}", file=sys.stderr)
     for bands in bands_list:

@@ -47,8 +47,9 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
     Mono inputs are duplicated to stereo here. `workers` threads run the
     network stage of the segments and the per-source synthesis (0 = one
     per CPU, negative raises PipelineError before any work); output order
-    and values are independent of scheduling. A
-    failing segment raises PipelineError naming its index and start time.
+    and values are independent of scheduling. A failing segment raises
+    PipelineError naming its index, start time and stage (stft, forward,
+    cirm or istft).
     """
     if workers < 0:
         raise PipelineError(f"workers must be >= 0 (0 = one per CPU), got {workers}")
@@ -75,16 +76,22 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
     bounds = [k * step for k in range(count)] + [streams.shape[1]]
 
     def network(k):
+        stage = "stft"
         try:
             seg = streams[:, bounds[k] : bounds[k + 1]]
             mix = spectral.to_magphase(spectral.stft_streams(seg))
-            return [
-                spectral.istft(apply_cirm(mix, out), seg.shape[1])
-                for out in model.forward(mix.magnitude)
-            ]
+            stage = "forward"
+            estimates = []
+            for out in model.forward(mix.magnitude):
+                stage = "cirm"
+                masked = apply_cirm(mix, out)
+                stage = "istft"
+                estimates.append(spectral.istft(masked, seg.shape[1]))
+                del masked  # free it before the next source's mask
+            return estimates
         except Exception as e:
             raise PipelineError(
-                f"segment {k} (from {k * SEGMENT_SECONDS:g} s): {e}"
+                f"segment {k} (from {k * SEGMENT_SECONDS:g} s), {stage}: {e}"
             ) from e
 
     def synthesize(bands):

@@ -12,14 +12,18 @@ Layer counting rule: every convolution counts, including 1x1 shortcuts,
 upsample convs, and the head. The bundled presets hit 276 and 166 conv
 layers under this rule.
 
-Convolutions are im2col + one GEMM per layer: a 3x3 conv copies the
-nine shifted views of its input into a channel-first column matrix
-[C*3*3, H*W] with zero borders and multiplies [O, C*3*3] weights by it;
-a 1x1 conv multiplies [O, C] weights by the input viewed as [C, H*W].
-Each `forward` call allocates one column buffer, sized for its widest
-3x3 layer, and reuses it for every layer; the buffer lives only in that
-call, so threads may share one Model. Bias, leaky-ReLU and the residual
-add work in place on each conv's fresh output.
+Convolutions are GEMMs. A 1x1 conv multiplies [O, C] weights by the
+input viewed as [C, H*W]. A 3x3 conv is "row-tap": it copies only the
+three column shifts of its input into a channel-first buffer
+[C, 3, H+2, W] with zero pad rows top and bottom and zero edge columns,
+multiplies all three kernel rows at once, [3*O, 3*C] @ [3*C, (H+2)*W]
+(in blocks of C output channels when O > C), and sums the three
+row-shifted [O, H, W] slices of the [3, O, H+2, W] product. Each
+`forward` call allocates one column buffer of 3*C*(H+2)*W elements for
+its widest 3x3 layer and reuses it for every layer (and as leaky-ReLU
+scratch); the buffer lives only in that call, so threads may share one
+Model. Bias, leaky-ReLU and the residual add work in place on each
+conv's fresh output.
 
 Inference only; parameters live in a flat name -> float32 array table
 serialized via the CWSW container format.
@@ -191,7 +195,7 @@ class Model:
         pad_t = (-t0) % mult
         pad_f = (-f0) % mult
         h = np.pad(mag, ((0, 0), (0, pad_t), (0, pad_f)))
-        # one im2col buffer per call, not per model: threads share a model
+        # one column buffer per call, not per model: threads share a model
         cols = np.empty(_cols_size(cfg, h.shape[1], h.shape[2]), dtype=np.float32)
 
         skips = []
@@ -202,7 +206,7 @@ class Model:
             h = _avgpool2(h)
         for lvl in reversed(range(cfg.num_levels)):
             h = _upsample2(h)
-            h = _leaky(self._conv(h, f"dec{lvl}.upsample", cols))
+            h = _leaky(self._conv(h, f"dec{lvl}.upsample", cols), cols)
             h = np.concatenate([h, skips[lvl]], axis=0)
             for b in range(cfg.blocks_per_level[lvl]):
                 h = self._block(h, f"dec{lvl}.block{b}", cols)
@@ -223,7 +227,7 @@ class Model:
         return _conv2d(x, w, b, cols)
 
     def _block(self, x, prefix, cols=None):
-        y = _leaky(self._conv(x, f"{prefix}.conv1", cols))
+        y = _leaky(self._conv(x, f"{prefix}.conv1", cols), cols)
         y = self._conv(y, f"{prefix}.conv2", cols)
         sc_name = f"{prefix}.shortcut.weight"
         y += _conv2d(x, self.params[sc_name], None) if sc_name in self.params else x
@@ -231,7 +235,7 @@ class Model:
 
 
 def _cols_size(config, hgt, wid):
-    """Elements of the largest 3x3 column matrix [C*9, H*W] in one forward pass.
+    """Elements of the largest 3x3 column buffer [C, 3, H+2, W] in one forward pass.
 
     At level l (H and W halved l times) the 3x3 convs read the previous
     level's channels (enc block 0), 2x this level's (dec block 0, skip
@@ -239,47 +243,65 @@ def _cols_size(config, hgt, wid):
     """
     chans = (config.in_channels,) + config.channels_per_level + (0,)
     return max(
-        9 * max(chans[lvl], 2 * chans[lvl + 1], chans[lvl + 2]) * (hgt >> lvl) * (wid >> lvl)
+        3 * max(chans[lvl], 2 * chans[lvl + 1], chans[lvl + 2]) * ((hgt >> lvl) + 2) * (wid >> lvl)
         for lvl in range(config.num_levels)
     )
 
 
-def _leaky(x):
-    """Leaky ReLU in place: max(x, slope * x) for 0 < slope < 1."""
-    return np.maximum(x, LEAKY_SLOPE * x, out=x)
+def _leaky(x, scratch=None):
+    """Leaky ReLU in place: max(x, slope * x) for 0 < slope < 1.
+
+    The product goes to the flat float32 `scratch` (at least x.size
+    elements) when given, else to a temporary.
+    """
+    tmp = None if scratch is None else scratch[: x.size].reshape(x.shape)
+    return np.maximum(x, np.multiply(x, LEAKY_SLOPE, out=tmp), out=x)
 
 
 def _conv2d(x, w, b, cols=None):
     """x [C,H,W], w [O,C,kh,kw] with kh=kw in {1,3}, zero padding to 'same'.
 
     Returns a fresh float32 [O,H,W]. A 1x1 conv is one GEMM on x viewed
-    as [C, H*W]. A 3x3 conv copies the nine shifted views of x into a
-    channel-first column matrix [C,3,3,H,W] whose border rows and
-    columns are written as zeros (no padded copy of x), then computes
-    w[O, C*9] @ cols[C*9, H*W]. `cols` is flat float32 scratch of at
-    least C*9*H*W elements, reused across the layers of one forward
-    call; without it a buffer is allocated for this call.
+    as [C, H*W]. A 3x3 conv copies the three column shifts of x into a
+    buffer [C,3,H+2,W], tap j holding rows of x shifted by j - 1 columns
+    between zero pad rows and a zero edge column (no padded copy of x).
+    One GEMM, w as [3*O, C*3] (kernel row, then output channel) by the
+    buffer as [C*3, (H+2)*W], gives z [3,O,H+2,W], and the output is
+    z[0,:,0:H] + z[1,:,1:H+1] + z[2,:,2:H+2]. When O > C the GEMM runs
+    over blocks of C output channels, each into the conv's one z buffer,
+    so z never outgrows the column buffer. `cols` is flat float32
+    scratch of at least 3*C*(H+2)*W elements, reused across the layers
+    of one forward call; without it a buffer is allocated for this call.
     """
     o, c, kh, kw = w.shape
     _, hgt, wid = x.shape
     if kh == 1:
         y = w.reshape(o, c) @ x.reshape(c, hgt * wid)
     else:
-        n = c * 9 * hgt * wid
+        n = c * 3 * (hgt + 2) * wid
         buf = np.empty(n, dtype=np.float32) if cols is None else cols[:n]
-        buf = buf.reshape(c, 3, 3, hgt, wid)
-        for i in range(3):
-            for j in range(3):
-                dst = buf[:, i, j]
-                # output row r reads input row r + i - 1 (likewise columns)
-                r0, r1 = max(0, 1 - i), min(hgt, hgt + 1 - i)
-                c0, c1 = max(0, 1 - j), min(wid, wid + 1 - j)
-                dst[:, :r0] = 0
-                dst[:, r1:] = 0
-                dst[:, r0:r1, :c0] = 0
-                dst[:, r0:r1, c1:] = 0
-                dst[:, r0:r1, c0:c1] = x[:, r0 + i - 1 : r1 + i - 1, c0 + j - 1 : c1 + j - 1]
-        y = w.reshape(o, -1) @ buf.reshape(c * 9, hgt * wid)
+        buf = buf.reshape(c, 3, hgt + 2, wid)
+        buf[:, :, 0] = 0
+        buf[:, :, -1] = 0
+        # tap j at column s reads input column s + j - 1
+        buf[:, 0, 1:-1, 0] = 0
+        buf[:, 0, 1:-1, 1:] = x[:, :, :-1]
+        buf[:, 1, 1:-1] = x
+        buf[:, 2, 1:-1, -1] = 0
+        buf[:, 2, 1:-1, :-1] = x[:, :, 1:]
+        taps = buf.reshape(3 * c, -1)
+        w_rows = w.transpose(2, 0, 1, 3)  # [kernel row, O, C, kernel column]
+        y = np.empty((o, hgt, wid), dtype=np.float32)
+        # blocks of at most c output channels keep z no larger than buf
+        zbuf = np.empty((3 * min(o, c), taps.shape[1]), dtype=np.float32)
+        for o0 in range(0, o, c):
+            blk = y[o0 : o0 + c]
+            z = zbuf[: 3 * len(blk)]
+            np.matmul(w_rows[:, o0 : o0 + c].reshape(len(z), 3 * c), taps, out=z)
+            z = z.reshape(3, len(blk), hgt + 2, wid)
+            # output row r takes kernel row i from padded row r + i
+            np.add(z[0, :, :hgt], z[1, :, 1 : hgt + 1], out=blk)
+            blk += z[2, :, 2:]
     y = y.reshape(o, hgt, wid)
     if b is not None:
         y += b[:, None, None]

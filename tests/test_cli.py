@@ -62,6 +62,15 @@ class TestDesignFilters:
             main(["design-filters", "--bands", "3", "--out", "/tmp/x.json"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("taps", ["0", "60", "-16"])
+    def test_bad_taps_usage_error(self, tmp_path, capsys, taps):
+        out = tmp_path / "fb8.json"
+        code, _, err = run(capsys, "design-filters", "--bands", "8", "--taps", taps,
+                           "--out", str(out))
+        assert code == 2
+        assert "--taps" in err and "multiple of 16" in err
+        assert not out.exists()
+
 
 class TestReconTest:
     def test_noise_probe_table(self, capsys):
@@ -115,6 +124,17 @@ class TestReconTest:
                              "--noise-seconds", "1")
         assert code == 2
         assert f"entry {bad}" in err
+        assert "snr_db" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("bands_list, taps, multiple", [
+        ("8", "60", 16), ("2,4", "12", 8), ("2", "0", 4),
+    ])
+    def test_bad_taps_usage_error(self, capsys, bands_list, taps, multiple):
+        code, out, err = run(capsys, "recon-test", "--bands-list", bands_list,
+                             "--taps", taps, "--noise-seconds", "1")
+        assert code == 2
+        assert "--taps" in err and f"multiple of {multiple}" in err
         assert "snr_db" not in err
         assert out == ""
 

@@ -132,6 +132,25 @@ class TestSeparate:
         with pytest.raises(PipelineError, match=r"segment 1 \(from 10 s\)"):
             separate(x, BadSecondSegment(), fb4)
 
+    def test_failing_stage_is_named(self, fb4):
+        class RaisingForward:
+            out_sources = 1
+
+            def forward(self, mag):
+                raise ValueError("weights exploded")
+
+        class WrongShape:
+            out_sources = 1
+
+            def forward(self, mag):
+                return IdentityModel().forward(np.zeros((1, 1, 1), dtype=mag.dtype))
+
+        x = noise_waveform(1.0, channels=2, seed=33)
+        with pytest.raises(PipelineError, match=r"segment 0 \(from 0 s\), forward: weights"):
+            separate(x, RaisingForward(), fb4)
+        with pytest.raises(PipelineError, match=r"segment 0 \(from 0 s\), cirm: "):
+            separate(x, WrongShape(), fb4)
+
 
 class TestResidual:
     def test_vocals_equal_mixture(self):

@@ -20,6 +20,7 @@ from cwsep.resunet import (
     save_weights,
     write_store,
 )
+from cwsep import resunet
 from cwsep.resunet import _conv2d
 
 TINY = PRESETS["tiny"]
@@ -173,7 +174,7 @@ def conv_oracle(x, w, b):
 class TestConv2d:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("c, o", [(3, 5), (4, 2)])
-    @pytest.mark.parametrize("hgt, wid", [(1, 1), (1, 7), (5, 1), (3, 5), (7, 6)])
+    @pytest.mark.parametrize("hgt, wid", [(1, 1), (1, 7), (5, 1), (3, 5), (7, 6), (2, 3)])
     @pytest.mark.parametrize("bias", [False, True])
     @pytest.mark.parametrize("reuse", [False, True])
     def test_matches_oracle(self, k, c, o, hgt, wid, bias, reuse):
@@ -187,6 +188,24 @@ class TestConv2d:
         ref = conv_oracle(x, w, b)
         assert got.shape == (o, hgt, wid) and got.dtype == np.float32
         assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("preset", ["tiny", "other-166", "vocals-276"])
+    def test_cols_size_covers_every_3x3_layer(self, preset, monkeypatch):
+        cfg = PRESETS[preset]
+        needed = []
+
+        def recording(x, w, b, cols=None):
+            if w.shape[2] == 3:
+                n = 3 * x.shape[0] * (x.shape[1] + 2) * x.shape[2]
+                assert cols is not None and cols.size >= n
+                needed.append(n)
+            return _conv2d(x, w, b, cols)
+
+        monkeypatch.setattr(resunet, "_conv2d", recording)
+        build(cfg).forward(np.ones((8, 37, 45), np.float32))
+        mult = 2**cfg.num_levels
+        padded = (-(-37 // mult) * mult, -(-45 // mult) * mult)
+        assert max(needed) == resunet._cols_size(cfg, *padded)
 
 
 class TestWeightStore:
