@@ -64,7 +64,7 @@ def _check_shapes(mix: MagPhase, out: NetworkOutput):
         )
 
 
-def _rotation(out: NetworkOutput):
+def _rotation(pr: np.ndarray, pi: np.ndarray):
     """Unit phasor of (Pr, Pi) and the inverse of its eps-stabilized length.
 
     The length is taken of the halved vector: hypot overflows float32
@@ -73,17 +73,39 @@ def _rotation(out: NetworkOutput):
     the phasor is unchanged; the inverse length may underflow to a
     subnormal, which is harmless.
     """
-    pr, pi = 0.5 * out.phase_real, 0.5 * out.phase_imag
+    pr, pi = 0.5 * pr, 0.5 * pi
     half = np.hypot(np.hypot(pr, pi), 0.5 * DEFAULT_EPS**0.5)
     return (pr + 1j * pi) / half, 0.5 / half
 
 
 def apply_cirm(mix: MagPhase, out: NetworkOutput) -> ComplexSpectrogram:
-    """Reconstruct the estimated complex spectrogram from mask and phase."""
+    """Reconstruct the estimated complex spectrogram from mask and phase.
+
+    The inverse length 1/sqrt(Pr^2 + Pi^2 + eps) is formed from plain
+    squares; only entries whose square overflows take _rotation's
+    halved-hypot path. mag * (Pr, Pi) / r is written into the real and
+    imaginary parts of the result, which is then rotated in place by the
+    mixture phasor.
+    """
     _check_shapes(mix, out)
-    rot, _ = _rotation(out)
     mag = np.maximum(mix.magnitude * expit(out.mask_logits) + out.mag_residual, 0.0)
-    data = mag * mix.phase * rot
+    pr, pi = out.phase_real, out.phase_imag
+    with np.errstate(over="ignore"):
+        inv = np.square(pr, dtype=np.result_type(pr, pi, np.float32))
+        inv += np.square(pi, dtype=inv.dtype)
+    inv += DEFAULT_EPS
+    huge = np.isinf(inv)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    data = np.empty(mag.shape, np.result_type(mag, pr, pi, mix.phase, np.complex64))
+    # (Pr / r) before mag: both factors stay finite
+    for part, p in ((data.real, pr), (data.imag, pi)):
+        np.multiply(p, inv, out=part)
+        part *= mag
+    if huge.any():
+        rot, _ = _rotation(pr[huge], pi[huge])
+        data[huge] = mag[huge] * rot
+    data *= mix.phase
     return ComplexSpectrogram(data)
 
 
@@ -105,7 +127,7 @@ def cirm_gradients(
     pre = mix.magnitude * sig + out.mag_residual
     active = pre > 0
     mag = np.maximum(pre, 0.0)
-    rot, inv_r = _rotation(out)
+    rot, inv_r = _rotation(out.phase_real, out.phase_imag)
     upstream = upstream_re + 1j * upstream_im
 
     # magnitude path: cotangent projected on the output phase

@@ -8,8 +8,10 @@ N-band/64-tap bank approximates a pure delay of taps-1 samples.
 
 Analysis filters each channel and keeps every N-th output sample
 starting at phase 0; synthesis inserts N-1 zeros after each band sample
-and filters. Both run polyphase through scipy.signal.upfirdn, so no
-discarded sample is ever computed. Filtering is causal: the output is
+and filters. Both run polyphase, all bands and channels at once: one
+matrix product per block of output samples, of the filter taps against
+the input samples each output depends on, so no discarded sample or
+inserted zero is ever computed. Filtering is causal: the output is
 aligned with the start of the full linear convolution. Under this
 convention an impulse analyzed through band j yields h_j zero-padded and
 decimated by N, and the cascade delay equals taps - 1.
@@ -21,7 +23,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import upfirdn
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal.windows import kaiser
 
 from .wave_io import Waveform
@@ -38,6 +40,10 @@ INITIAL_STEP = 1.0
 CONVERGENCE_THRESHOLD = 1e-3
 
 SNR_CAP_DB = 300.0
+
+# Output samples per GEMM block of analysis and synthesis: one stereo
+# block of 64-tap windows is 0.5 MB in float32, 1 MB in float64.
+_BLOCK = 1024
 
 
 class FilterbankError(Exception):
@@ -267,39 +273,75 @@ def design_filterbank(num_bands: int = 4, taps: int = DEFAULT_TAPS) -> FilterBan
     )
 
 
+def _polyphase(weights: np.ndarray, x: np.ndarray, window: int, step: int, out: np.ndarray):
+    """out[c, :, m] = weights @ lags(c, m) for every output index m, blockwise.
+
+    lags(c, m) is x[c, ..., step*m - window + 1 : step*m + 1] flattened,
+    with zeros for negative indices. Each block of _BLOCK outputs is
+    copied from a strided window view into one contiguous lag-major
+    buffer (every lag a run of consecutive outputs), so the product is a
+    single GEMM per block and the overlapping lags never exist as a
+    whole-signal array.
+    """
+    channels, length = out.shape[0], out.shape[-1]
+    buf = np.empty((channels, *x.shape[1:-1], window, min(_BLOCK, length)), dtype=x.dtype)
+    for m0 in range(0, length, _BLOCK):
+        rows = min(_BLOCK, length - m0)
+        lo = step * m0 - window + 1
+        seg = x[..., max(lo, 0) : step * (m0 + rows - 1) + 1]
+        if lo < 0:
+            seg = np.pad(seg, [(0, 0)] * (x.ndim - 1) + [(-lo, 0)])
+        lags = sliding_window_view(seg, window, axis=-1)[..., ::step, :]
+        block = buf[..., :rows]
+        np.copyto(block, lags.swapaxes(-1, -2))
+        np.matmul(weights, block.reshape(channels, -1, rows), out=out[..., m0 : m0 + rows])
+
+
 def analysis(x: Waveform, fb: FilterBank) -> SubbandSignal:
-    """Split each channel into fb.num_bands decimated band signals."""
+    """Split each channel into fb.num_bands decimated band signals.
+
+    y[c, j, m] = sum_t h[j, t] * x[c, N*m - t]: one blocked GEMM of the
+    reversed analysis filters against every N-th length-`taps` window.
+    """
     if x.num_samples == 0:
         raise ValueError("cannot analyze an empty signal")
     if x.num_samples < fb.taps:
         raise ValueError(f"signal length {x.num_samples} < filter length {fb.taps}")
     dtype = x.samples.dtype if x.samples.dtype in (np.float32, np.float64) else np.float64
     samples = x.samples.astype(dtype, copy=False)
-    h = fb.analysis.astype(dtype)
+    h = np.ascontiguousarray(fb.analysis[:, ::-1], dtype=dtype)
     sub_len = -(-x.num_samples // fb.num_bands)  # ceil
     out = np.empty((x.num_channels, fb.num_bands, sub_len), dtype=dtype)
-    for j in range(fb.num_bands):
-        out[:, j] = upfirdn(h[j], samples, 1, fb.num_bands, axis=1)[:, :sub_len]
+    _polyphase(h, samples, fb.taps, fb.num_bands, out)
     return SubbandSignal(out, x.sample_rate)
 
 
 def synthesis(sb: SubbandSignal, fb: FilterBank) -> Waveform:
-    """Recombine band signals; inverse of analysis up to fb.system_delay."""
+    """Recombine band signals; inverse of analysis up to fb.system_delay.
+
+    out[c, N*m + r] = sum_j sum_i g[j, N*i + r] * s[c, j, m - i]: one
+    blocked GEMM of the [N, bands * ceil(taps/N)] polyphase components of
+    the synthesis filters against the lagged band samples, whose N output
+    phases interleave into the full-rate signal.
+    """
     if sb.num_bands != fb.num_bands:
         raise ValueError(
             f"subband signal has {sb.num_bands} bands, filterbank expects {fb.num_bands}"
         )
+    N = fb.num_bands
     dtype = sb.samples.dtype if sb.samples.dtype in (np.float32, np.float64) else np.float64
-    g = fb.synthesis.astype(dtype)
-    out_len = fb.num_bands * sb.samples.shape[2]
+    depth = -(-fb.taps // N)  # taps per polyphase component, ceil
+    g = np.zeros((N, depth * N))
+    g[:, : fb.taps] = fb.synthesis
+    # [phase r, band j, lag]: g[j, N*i + r] with the lag axis reversed to
+    # match the oldest-first band windows; a short tail (taps not a
+    # multiple of N, or taps < N) is zero-padded
+    g = g.reshape(N, depth, N)[:, ::-1].transpose(2, 0, 1).reshape(N, N * depth)
     samples = sb.samples.astype(dtype, copy=False)
-    out = np.zeros((sb.num_channels, out_len), dtype=dtype)
-    for j in range(fb.num_bands):
-        # upfirdn stops at the last input sample: with taps < N the
-        # result is shorter than out_len and the tail stays zero
-        y = upfirdn(g[j], samples[:, j], fb.num_bands, 1, axis=1)[:, :out_len]
-        out[:, : y.shape[1]] += y
-    return Waveform(out, sb.source_rate)
+    length = sb.samples.shape[2]
+    out = np.empty((sb.num_channels, length, N), dtype=dtype)
+    _polyphase(g.astype(dtype), samples, depth, 1, out.transpose(0, 2, 1))
+    return Waveform(out.reshape(sb.num_channels, N * length), sb.source_rate)
 
 
 @dataclass(frozen=True)

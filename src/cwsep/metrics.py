@@ -44,9 +44,13 @@ def energy_conservation_loss(mixture: Waveform, estimates) -> float:
     return float(np.mean(np.abs(mixture.samples - total)))
 
 
-def _sdr(ref: np.ndarray, est: np.ndarray) -> float:
-    ref_energy = float(np.sum(ref**2))
-    err_energy = float(np.sum((ref - est) ** 2))
+def _energy(a: np.ndarray) -> float:
+    return float(np.einsum("ij,ij->", a, a))
+
+
+def _sdr(ref_energy: float, ref: np.ndarray, est: np.ndarray) -> float:
+    """SDR of est against a float64 ref whose energy the caller measured."""
+    err_energy = _energy(ref - est)
     if err_energy == 0.0:
         return SDR_CAP_DB
     return float(min(10 * np.log10(ref_energy / err_energy), SDR_CAP_DB))
@@ -56,9 +60,9 @@ def sdr_global(reference: Waveform, estimate: Waveform) -> float:
     """Energy-ratio SDR in dB, capped at +300 for exact matches."""
     _check_shapes(reference, estimate)
     ref = np.asarray(reference.samples, dtype=np.float64)
-    if float(np.sum(ref**2)) == 0.0:
+    if not np.any(ref):
         raise MetricsError("reference has zero energy")
-    return _sdr(ref, np.asarray(estimate.samples, dtype=np.float64))
+    return _sdr(_energy(ref), ref, estimate.samples)
 
 
 def _frame_sdrs(reference: Waveform, estimate: Waveform, frame_seconds: float) -> list:
@@ -70,13 +74,13 @@ def _frame_sdrs(reference: Waveform, estimate: Waveform, frame_seconds: float) -
             f"signal shorter than one {frame_seconds} s frame ({frame_len} samples)"
         )
     ref = np.asarray(reference.samples, dtype=np.float64)
-    est = np.asarray(estimate.samples, dtype=np.float64)
     values = []
     for start in range(0, reference.num_samples - frame_len + 1, frame_len):
         r = ref[:, start : start + frame_len]
-        if float(np.sum(r**2)) < SILENCE_ENERGY:
+        energy = _energy(r)
+        if energy < SILENCE_ENERGY:
             continue
-        values.append(_sdr(r, est[:, start : start + frame_len]))
+        values.append(_sdr(energy, r, estimate.samples[:, start : start + frame_len]))
     if not values:
         raise MetricsError("all frames have a silent reference")
     return values

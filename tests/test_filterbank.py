@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cwsep import IdentityModel, separate
+from cwsep import filterbank
 from cwsep.filterbank import (
     FilterBank,
     SubbandSignal,
@@ -202,8 +204,14 @@ class TestAnalysisSynthesis:
 
     @pytest.mark.parametrize("num_bands", [2, 4, 8])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [1001, 1003])
-    def test_matches_loop_cascade(self, request, num_bands, dtype, n):
+    # 1499 runs in blocks of 16 outputs: several blocks, the last one
+    # partial, and at 2 bands the first two blocks reach before the start
+    @pytest.mark.parametrize(
+        "n, block", [(1001, None), (1003, None), (1499, 16)], ids=["1001", "1003", "1499"]
+    )
+    def test_matches_loop_cascade(self, request, monkeypatch, num_bands, dtype, n, block):
+        if block is not None:
+            monkeypatch.setattr(filterbank, "_BLOCK", block)
         fb = request.getfixturevalue(f"fb{num_bands}")
         x = np.random.default_rng(n).standard_normal((2, n)).astype(dtype)
         sub_len = -(-n // num_bands)
@@ -219,6 +227,21 @@ class TestAnalysisSynthesis:
         assert y.dtype == dtype
         g = fb.synthesis.astype(dtype).astype(np.float64)
         assert_matches_oracle(y, loop_synthesis(sb.astype(np.float64), g, num_bands), dtype)
+
+    @pytest.mark.parametrize("num_bands, taps", [(4, 10), (2, 7), (8, 5), (8, 1)])
+    def test_short_polyphase_tail(self, num_bands, taps):
+        # taps not a multiple of N, or taps < N: the last polyphase
+        # component of each filter is short or empty
+        rng = np.random.default_rng(taps)
+        h = rng.standard_normal((num_bands, taps))
+        g = rng.standard_normal((num_bands, taps))
+        fb = FilterBank(num_bands=num_bands, taps=taps, analysis=h, synthesis=g, system_delay=0)
+        x = rng.standard_normal((2, 203))
+
+        sb = analysis(Waveform(x, 44100), fb).samples
+        assert_matches_oracle(sb, loop_analysis(x, h, num_bands), np.float64)
+        y = synthesis(SubbandSignal(sb, 44100), fb).samples
+        assert_matches_oracle(y, loop_synthesis(sb, g, num_bands), np.float64)
 
     def test_synthesis_zero(self, fb4):
         w = synthesis(SubbandSignal(np.zeros((2, 4, 100)), 44100), fb4)
@@ -260,6 +283,16 @@ class TestAnalysisSynthesis:
         a = analysis(Waveform(x[None, :], 44100), fb4).samples[0]
         b = analysis(Waveform(shifted[None, :], 44100), fb4).samples[0]
         assert np.max(np.abs(b[:, 1:] - a[:, :-1])) <= 1e-10
+
+
+def test_separate_workers_bit_identical(fb8):
+    # four sources synthesised on two threads, each over many blocks
+    x = noise_waveform(2.0, channels=2, seed=41)
+    assert x.num_samples > filterbank._BLOCK * fb8.num_bands
+    serial = separate(x, IdentityModel(4), fb8, workers=1)
+    threaded = separate(x, IdentityModel(4), fb8, workers=2)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a.samples, b.samples)
 
 
 class TestMeasureReconstruction:
