@@ -1,10 +1,9 @@
 """Channel-wise subband music source separation toolkit."""
 
-from .cirm import CirmGradients, NetworkOutput, apply_cirm, cirm_gradients, identity_output
+from .cirm import NetworkOutput, apply_cirm, cirm_gradients, identity_output
 from .filterbank import (
     FilterBank,
     ReconReport,
-    SubbandSignal,
     analysis,
     design_filterbank,
     measure_reconstruction,
@@ -42,7 +41,6 @@ __all__ = [
     "read_wav",
     "write_wav",
     "FilterBank",
-    "SubbandSignal",
     "ReconReport",
     "design_filterbank",
     "analysis",
@@ -54,7 +52,6 @@ __all__ = [
     "istft",
     "to_magphase",
     "NetworkOutput",
-    "CirmGradients",
     "apply_cirm",
     "cirm_gradients",
     "identity_output",

@@ -27,7 +27,8 @@ DEFAULT_EPS = 1e-8
 
 @dataclass(frozen=True)
 class NetworkOutput:
-    """Four same-shape real tensors estimated per source."""
+    """Four same-shape real tensors per source: a network's estimate, or
+    (from cirm_gradients) the gradient with respect to each of them."""
 
     mask_logits: np.ndarray
     phase_real: np.ndarray
@@ -47,14 +48,6 @@ class NetworkOutput:
     @property
     def shape(self):
         return self.mask_logits.shape
-
-
-@dataclass(frozen=True)
-class CirmGradients:
-    mask_logits: np.ndarray
-    phase_real: np.ndarray
-    phase_imag: np.ndarray
-    mag_residual: np.ndarray
 
 
 def _check_shapes(mix: MagPhase, out: NetworkOutput):
@@ -114,8 +107,8 @@ def cirm_gradients(
     out: NetworkOutput,
     upstream_re: np.ndarray,
     upstream_im: np.ndarray,
-) -> CirmGradients:
-    """Vector-Jacobian product of apply_cirm.
+) -> NetworkOutput:
+    """Vector-Jacobian product of apply_cirm, one gradient per NetworkOutput field.
 
     Contracts the given cotangents of (re, im) with the analytic partial
     derivatives w.r.t. M, Pr, Pi, Q. The relu subgradient at exactly
@@ -140,7 +133,7 @@ def cirm_gradients(
     g_rot = mag * upstream * np.conj(mix.phase)
     g_phase = (g_rot - rot * np.real(g_rot * np.conj(rot))) * inv_r
 
-    return CirmGradients(
+    return NetworkOutput(
         mask_logits=g_mask,
         phase_real=g_phase.real,
         phase_imag=g_phase.imag,

@@ -89,6 +89,8 @@ def cmd_separate(args) -> int:
     sources = [s.strip() for s in args.sources.split(",") if s.strip()]
     if not sources:
         raise UsageError("--sources must name at least one source")
+    if len(set(sources)) != len(sources):
+        raise UsageError(f"--sources names a source more than once: {args.sources!r}")
     if args.residual_instrumental and "vocals" not in sources:
         raise UsageError("--residual-instrumental requires 'vocals' among --sources")
     # CWS_THREADS: worker threads of separate, 0 = one per CPU
@@ -114,6 +116,11 @@ def cmd_separate(args) -> int:
             f"weights stage: model estimates {model.out_sources} sources "
             f"but --sources names {len(sources)}"
         )
+    if model.config.in_channels != 2 * fb.num_bands:
+        raise RuntimeError(
+            f"weights stage: model takes {model.config.in_channels} input streams "
+            f"but the {fb.num_bands}-band bank gives {2 * fb.num_bands} (2 channels x bands)"
+        )
 
     estimates = pipeline.separate(mixture, model, fb, workers=int(threads))
 
@@ -126,10 +133,7 @@ def cmd_separate(args) -> int:
         by_name[name] = est
         print(f"wrote {path}", file=sys.stderr)
     if args.residual_instrumental:
-        mix_stereo = mixture
-        if mix_stereo.num_channels == 1:
-            mix_stereo = Waveform(np.repeat(mix_stereo.samples, 2, axis=0), mixture.sample_rate)
-        residual = pipeline.instrumental_residual(mix_stereo, by_name["vocals"])
+        residual = pipeline.instrumental_residual(mixture, by_name["vocals"])
         path = out_dir / "instrumental.wav"
         write_wav(residual, path, format="float32")
         print(f"wrote {path}", file=sys.stderr)

@@ -15,6 +15,10 @@ inserted zero is ever computed. Filtering is causal: the output is
 aligned with the start of the full linear convolution. Under this
 convention an impulse analyzed through band j yields h_j zero-padded and
 decimated by N, and the cascade delay equals taps - 1.
+
+Band streams are plain arrays: analysis takes a Waveform and returns
+[channels, bands, ceil(length / N)]; synthesis takes that array and the
+output sample rate and returns a Waveform.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal.windows import kaiser
 
+from . import metrics
 from .wave_io import Waveform
 
 SUPPORTED_BANDS = (2, 4, 8)
@@ -38,8 +43,6 @@ INITIAL_STEP = 1.0
 
 # design is declared non-convergent above this cascade-error objective
 CONVERGENCE_THRESHOLD = 1e-3
-
-SNR_CAP_DB = 300.0
 
 # Output samples per GEMM block of analysis and synthesis: one stereo
 # block of 64-tap windows is 0.5 MB in float32, 1 MB in float64.
@@ -107,33 +110,6 @@ class FilterBank:
             synthesis=np.array(d["synthesis"], dtype=np.float64),
             system_delay=d["system_delay"],
         )
-
-
-@dataclass(frozen=True)
-class SubbandSignal:
-    """Decimated band signals: [channels, bands, length/N]."""
-
-    samples: np.ndarray
-    source_rate: int
-
-    def __post_init__(self):
-        s = np.asarray(self.samples)
-        if s.ndim != 3:
-            raise ValueError(f"samples must be [channels, bands, length], got {s.shape}")
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def num_channels(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def num_bands(self) -> int:
-        return self.samples.shape[1]
-
-    def stacked(self) -> np.ndarray:
-        """Channel-major [channels*bands, length] view of the band signals."""
-        c, b, n = self.samples.shape
-        return self.samples.reshape(c * b, n)
 
 
 def _prototype_init(taps: int, num_bands: int, beta: float = 9.0) -> np.ndarray:
@@ -297,9 +273,10 @@ def _polyphase(weights: np.ndarray, x: np.ndarray, window: int, step: int, out: 
         np.matmul(weights, block.reshape(channels, -1, rows), out=out[..., m0 : m0 + rows])
 
 
-def analysis(x: Waveform, fb: FilterBank) -> SubbandSignal:
-    """Split each channel into fb.num_bands decimated band signals.
+def analysis(x: Waveform, fb: FilterBank) -> np.ndarray:
+    """Split each channel into fb.num_bands decimated band streams.
 
+    Returns [channels, bands, ceil(length / N)] with
     y[c, j, m] = sum_t h[j, t] * x[c, N*m - t]: one blocked GEMM of the
     reversed analysis filters against every N-th length-`taps` window.
     """
@@ -313,23 +290,24 @@ def analysis(x: Waveform, fb: FilterBank) -> SubbandSignal:
     sub_len = -(-x.num_samples // fb.num_bands)  # ceil
     out = np.empty((x.num_channels, fb.num_bands, sub_len), dtype=dtype)
     _polyphase(h, samples, fb.taps, fb.num_bands, out)
-    return SubbandSignal(out, x.sample_rate)
+    return out
 
 
-def synthesis(sb: SubbandSignal, fb: FilterBank) -> Waveform:
-    """Recombine band signals; inverse of analysis up to fb.system_delay.
+def synthesis(bands: np.ndarray, fb: FilterBank, sample_rate: int) -> Waveform:
+    """Recombine [channels, bands, length] streams; inverse of analysis up to fb.system_delay.
 
     out[c, N*m + r] = sum_j sum_i g[j, N*i + r] * s[c, j, m - i]: one
     blocked GEMM of the [N, bands * ceil(taps/N)] polyphase components of
     the synthesis filters against the lagged band samples, whose N output
     phases interleave into the full-rate signal.
     """
-    if sb.num_bands != fb.num_bands:
+    bands = np.asarray(bands)
+    if bands.ndim != 3 or bands.shape[1] != fb.num_bands:
         raise ValueError(
-            f"subband signal has {sb.num_bands} bands, filterbank expects {fb.num_bands}"
+            f"band streams must be [channels, {fb.num_bands}, length], got {bands.shape}"
         )
     N = fb.num_bands
-    dtype = sb.samples.dtype if sb.samples.dtype in (np.float32, np.float64) else np.float64
+    dtype = bands.dtype if bands.dtype in (np.float32, np.float64) else np.float64
     depth = -(-fb.taps // N)  # taps per polyphase component, ceil
     g = np.zeros((N, depth * N))
     g[:, : fb.taps] = fb.synthesis
@@ -337,11 +315,10 @@ def synthesis(sb: SubbandSignal, fb: FilterBank) -> Waveform:
     # match the oldest-first band windows; a short tail (taps not a
     # multiple of N, or taps < N) is zero-padded
     g = g.reshape(N, depth, N)[:, ::-1].transpose(2, 0, 1).reshape(N, N * depth)
-    samples = sb.samples.astype(dtype, copy=False)
-    length = sb.samples.shape[2]
-    out = np.empty((sb.num_channels, length, N), dtype=dtype)
-    _polyphase(g.astype(dtype), samples, depth, 1, out.transpose(0, 2, 1))
-    return Waveform(out.reshape(sb.num_channels, N * length), sb.source_rate)
+    channels, _, length = bands.shape
+    out = np.empty((channels, length, N), dtype=dtype)
+    _polyphase(g.astype(dtype), bands.astype(dtype, copy=False), depth, 1, out.transpose(0, 2, 1))
+    return Waveform(out.reshape(channels, N * length), sample_rate)
 
 
 @dataclass(frozen=True)
@@ -354,8 +331,8 @@ def measure_reconstruction(fb: FilterBank, probe: Waveform, precision: str = "f6
     """Run the analysis->synthesis cascade and compare against the probe.
 
     The cascade output is advanced by fb.system_delay and `taps` samples
-    are trimmed from each edge before computing SNR and max abs error.
-    Exact reconstruction is reported as the capped sentinel 300 dB.
+    are trimmed from each edge before computing SNR (metrics.sdr_global,
+    so exact reconstruction reads its 300 dB cap) and max abs error.
     """
     if precision not in ("f32", "f64"):
         raise ValueError(f"precision must be 'f32' or 'f64', got {precision!r}")
@@ -367,21 +344,12 @@ def measure_reconstruction(fb: FilterBank, probe: Waveform, precision: str = "f6
 
     dtype = np.float32 if precision == "f32" else np.float64
     x = Waveform(probe.samples.astype(dtype), probe.sample_rate)
-    y = synthesis(analysis(x, fb), fb)
+    y = synthesis(analysis(x, fb), fb, x.sample_rate)
 
     d = fb.system_delay
     n = min(x.num_samples - d, y.num_samples - d)
-    ref = x.samples[:, :n].astype(np.float64)
-    est = y.samples[:, d : d + n].astype(np.float64)
     t = fb.taps
-    ref = ref[:, t:-t]
-    est = est[:, t:-t]
-
-    err = ref - est
-    err_energy = float(np.sum(err**2))
-    ref_energy = float(np.sum(ref**2))
-    if err_energy == 0.0:
-        snr = SNR_CAP_DB
-    else:
-        snr = min(10 * np.log10(ref_energy / err_energy), SNR_CAP_DB)
-    return ReconReport(snr_db=float(snr), max_abs_err=float(np.max(np.abs(err))))
+    ref = x.samples[:, t : n - t].astype(np.float64)
+    est = y.samples[:, d + t : d + n - t].astype(np.float64)
+    snr = metrics.sdr_global(Waveform(ref, x.sample_rate), Waveform(est, x.sample_rate))
+    return ReconReport(snr_db=snr, max_abs_err=float(np.max(np.abs(ref - est))))

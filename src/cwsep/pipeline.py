@@ -20,7 +20,7 @@ import numpy as np
 from . import filterbank as fbmod
 from . import spectral
 from .cirm import apply_cirm, identity_output
-from .filterbank import FilterBank, SubbandSignal
+from .filterbank import FilterBank
 from .wave_io import Waveform
 
 PIPELINE_RATE = 44100
@@ -69,7 +69,9 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
     seg_len = int(round(SEGMENT_SECONDS * PIPELINE_RATE))
     count = -(-n // seg_len)
     padded = np.pad(samples, ((0, 0), (0, count * seg_len + fb.taps - n)))
-    streams = fbmod.analysis(Waveform(padded, PIPELINE_RATE), fb).stacked()
+    streams = fbmod.analysis(Waveform(padded, PIPELINE_RATE), fb)
+    # channel-major [channels * bands, length]: one row per band stream
+    streams = streams.reshape(channels * fb.num_bands, -1)
     del padded
     step = seg_len // fb.num_bands
     # the last segment also takes the tail past count * step
@@ -95,8 +97,7 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
             ) from e
 
     def synthesize(bands):
-        sb = SubbandSignal(bands.reshape(channels, fb.num_bands, -1), PIPELINE_RATE)
-        y = fbmod.synthesis(sb, fb).samples
+        y = fbmod.synthesis(bands.reshape(channels, fb.num_bands, -1), fb, PIPELINE_RATE).samples
         return Waveform(y[:, fb.system_delay : fb.system_delay + n], PIPELINE_RATE)
 
     with ThreadPoolExecutor(max_workers=workers or os.cpu_count() or 1) as pool:
@@ -107,8 +108,9 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
 
 
 def instrumental_residual(mixture: Waveform, vocals: Waveform) -> Waveform:
-    """Samplewise mixture minus vocals."""
-    if mixture.samples.shape != vocals.samples.shape:
+    """Samplewise mixture minus vocals; a mono mixture is broadcast to stereo vocals."""
+    channels_ok = mixture.num_channels in (1, vocals.num_channels)
+    if not channels_ok or mixture.num_samples != vocals.num_samples:
         raise PipelineError(
             f"shape mismatch: mixture {mixture.samples.shape}, vocals {vocals.samples.shape}"
         )

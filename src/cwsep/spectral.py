@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 WIN_LENGTH = 512
 HOP = 110
@@ -62,11 +63,8 @@ def stft_streams(streams: np.ndarray) -> ComplexSpectrogram:
         raise ValueError(f"signal length {n} < window length {WIN_LENGTH}")
     pad = WIN_LENGTH // 2
     x = np.pad(streams, ((0, 0), (pad, pad)))
-    frames = (x.shape[1] - WIN_LENGTH) // HOP + 1
     win = _hann(WIN_LENGTH).astype(np.result_type(streams.dtype, np.float32))
-
-    idx = np.arange(WIN_LENGTH)[None, :] + HOP * np.arange(frames)[:, None]
-    framed = x[:, idx] * win[None, None, :]  # [C, T, win]
+    framed = sliding_window_view(x, WIN_LENGTH, axis=1)[:, ::HOP] * win  # [C, T, win]
     spec = np.fft.rfft(framed, n=WIN_LENGTH, axis=2)
     return ComplexSpectrogram(spec)
 

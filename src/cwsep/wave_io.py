@@ -56,10 +56,6 @@ class Waveform:
     def num_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.num_samples / self.sample_rate
-
 
 _FMT_PCM = 1
 _FMT_IEEE_FLOAT = 3

@@ -220,6 +220,37 @@ class TestSeparate:
         assert "weights stage" in err
 
 
+    def test_repeated_source_usage_error(self, tmp_path, capsys, fb_json_path,
+                                         tiny_weights_path):
+        # checked before the input is read: the input does not exist
+        code, _, err = run(capsys, "separate", "--input", str(tmp_path / "missing.wav"),
+                           "--weights", str(tiny_weights_path),
+                           "--filters", str(fb_json_path),
+                           "--sources", "vocals,vocals",
+                           "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert "--sources" in err and "vocals" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_bank_weights_mismatch_before_analysis(self, tmp_path, capsys, monkeypatch, fb8,
+                                                   tiny_weights_path):
+        def no_analysis(*args):
+            raise AssertionError("analysis ran")
+
+        monkeypatch.setattr("cwsep.filterbank.analysis", no_analysis)
+        filters = tmp_path / "fb8.json"
+        filters.write_text(fb8.to_json())
+        wav = tmp_path / "mix.wav"
+        write_wav(noise_waveform(1.0, channels=2), wav, format="float32")
+        code, _, err = run(capsys, "separate", "--input", str(wav),
+                           "--weights", str(tiny_weights_path),
+                           "--filters", str(filters),
+                           "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert "weights stage" in err
+        assert "8 input streams" in err and "16" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("delay", [-5, 10**7])
     def test_out_of_range_delay_filter_stage(self, tmp_path, capsys, fb4, tiny_weights_path,
                                              delay):

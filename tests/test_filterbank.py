@@ -5,7 +5,6 @@ from cwsep import IdentityModel, separate
 from cwsep import filterbank
 from cwsep.filterbank import (
     FilterBank,
-    SubbandSignal,
     _CascadeObjective,
     _modulate,
     analysis,
@@ -177,17 +176,13 @@ class TestDesign:
 class TestAnalysisSynthesis:
     def test_zero_signal(self, fb4):
         sb = analysis(Waveform(np.zeros((2, 1000)), 44100), fb4)
-        assert sb.samples.shape == (2, 4, 250)
-        assert not sb.samples.any()
-
-    def test_stacked_layout(self, fb4):
-        sb = analysis(noise_waveform(0.1, channels=2), fb4)
-        assert sb.stacked().shape == (8, sb.samples.shape[2])
+        assert sb.shape == (2, 4, 250)
+        assert not sb.any()
 
     def test_linearity(self, fb4):
         x = noise_waveform(0.1)
-        a = analysis(x, fb4).samples
-        b = analysis(Waveform(2.5 * x.samples, 44100), fb4).samples
+        a = analysis(x, fb4)
+        b = analysis(Waveform(2.5 * x.samples, 44100), fb4)
         assert np.allclose(b, 2.5 * a, atol=1e-12)
 
     def test_impulse_equals_decimated_filter(self, fb4):
@@ -199,8 +194,8 @@ class TestAnalysisSynthesis:
             padded = np.zeros(n)
             padded[:64] = fb4.analysis[j]
             oracle = decimate(direct_conv(np.r_[1.0, np.zeros(n - 1)], fb4.analysis[j]), 4)
-            assert np.allclose(sb.samples[0, j], oracle, atol=1e-12)
-            assert np.allclose(sb.samples[0, j], decimate(padded, 4), atol=1e-12)
+            assert np.allclose(sb[0, j], oracle, atol=1e-12)
+            assert np.allclose(sb[0, j], decimate(padded, 4), atol=1e-12)
 
     @pytest.mark.parametrize("num_bands", [2, 4, 8])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -216,13 +211,13 @@ class TestAnalysisSynthesis:
         x = np.random.default_rng(n).standard_normal((2, n)).astype(dtype)
         sub_len = -(-n // num_bands)
 
-        sb = analysis(Waveform(x, 44100), fb).samples
+        sb = analysis(Waveform(x, 44100), fb)
         assert sb.shape == (2, num_bands, sub_len)
         assert sb.dtype == dtype
         h = fb.analysis.astype(dtype).astype(np.float64)
         assert_matches_oracle(sb, loop_analysis(x.astype(np.float64), h, num_bands), dtype)
 
-        y = synthesis(SubbandSignal(sb, 44100), fb).samples
+        y = synthesis(sb, fb, 44100).samples
         assert y.shape == (2, num_bands * sub_len)
         assert y.dtype == dtype
         g = fb.synthesis.astype(dtype).astype(np.float64)
@@ -238,28 +233,32 @@ class TestAnalysisSynthesis:
         fb = FilterBank(num_bands=num_bands, taps=taps, analysis=h, synthesis=g, system_delay=0)
         x = rng.standard_normal((2, 203))
 
-        sb = analysis(Waveform(x, 44100), fb).samples
+        sb = analysis(Waveform(x, 44100), fb)
         assert_matches_oracle(sb, loop_analysis(x, h, num_bands), np.float64)
-        y = synthesis(SubbandSignal(sb, 44100), fb).samples
+        y = synthesis(sb, fb, 44100).samples
         assert_matches_oracle(y, loop_synthesis(sb, g, num_bands), np.float64)
 
     def test_synthesis_zero(self, fb4):
-        w = synthesis(SubbandSignal(np.zeros((2, 4, 100)), 44100), fb4)
+        w = synthesis(np.zeros((2, 4, 100)), fb4, 44100)
         assert w.samples.shape == (2, 400)
         assert not w.samples.any()
 
     def test_synthesis_linearity(self, fb4):
         rng = np.random.default_rng(3)
-        a = SubbandSignal(rng.standard_normal((1, 4, 200)), 44100)
-        b = SubbandSignal(rng.standard_normal((1, 4, 200)), 44100)
-        ab = SubbandSignal(a.samples + b.samples, 44100)
-        lhs = synthesis(ab, fb4).samples
-        rhs = synthesis(a, fb4).samples + synthesis(b, fb4).samples
+        a = rng.standard_normal((1, 4, 200))
+        b = rng.standard_normal((1, 4, 200))
+        lhs = synthesis(a + b, fb4, 44100).samples
+        rhs = synthesis(a, fb4, 44100).samples + synthesis(b, fb4, 44100).samples
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_band_mismatch(self, fb4):
         with pytest.raises(ValueError):
-            synthesis(SubbandSignal(np.zeros((1, 2, 100)), 44100), fb4)
+            synthesis(np.zeros((1, 2, 100)), fb4, 44100)
+
+    def test_synthesis_rejects_2d(self, fb4):
+        # a channel-major [channels * bands, length] array is not band streams
+        with pytest.raises(ValueError, match=r"\[channels, 4, length\]"):
+            synthesis(np.zeros((8, 100)), fb4, 44100)
 
     def test_empty_or_short_input(self, fb4):
         with pytest.raises(ValueError):
@@ -268,7 +267,7 @@ class TestAnalysisSynthesis:
             analysis(Waveform(np.zeros((1, 10)), 44100), fb4)
 
     def test_cascade_is_delay(self, fb4, noise10):
-        y = synthesis(analysis(noise10, fb4), fb4)
+        y = synthesis(analysis(noise10, fb4), fb4, 44100)
         d = fb4.system_delay
         s = noise10.samples[0, : -d][64:-64]
         sh = y.samples[0, d:][64:-64]
@@ -280,8 +279,8 @@ class TestAnalysisSynthesis:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(4000)
         shifted = np.r_[np.zeros(4), x[:-4]]
-        a = analysis(Waveform(x[None, :], 44100), fb4).samples[0]
-        b = analysis(Waveform(shifted[None, :], 44100), fb4).samples[0]
+        a = analysis(Waveform(x[None, :], 44100), fb4)[0]
+        b = analysis(Waveform(shifted[None, :], 44100), fb4)[0]
         assert np.max(np.abs(b[:, 1:] - a[:, :-1])) <= 1e-10
 
 

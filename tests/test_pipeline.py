@@ -89,6 +89,23 @@ class TestSeparate:
         separate(x, Recorder(), request.getfixturevalue(bank))
         assert shapes == [shape] * 3
 
+    def test_network_input_is_channel_major(self, fb4):
+        # rows 0..B-1 of the network input are the left channel's bands,
+        # rows B..2B-1 the right channel's
+        seen = []
+
+        class Recorder(IdentityModel):
+            def forward(self, mag):
+                seen.append(mag)
+                return super().forward(mag)
+
+        right = noise_waveform(1.0, seed=39).samples[0]
+        x = Waveform(np.stack([np.zeros_like(right), right]), 44100)
+        separate(x, Recorder(), fb4)
+        (mag,) = seen
+        assert not mag[:4].any()
+        assert mag[4:].reshape(4, -1).any(axis=1).all()
+
     def test_workers_do_not_change_result(self, fb4):
         x = noise_waveform(20.0, channels=2, seed=27)
         serial = separate(x, IdentityModel(), fb4, workers=1)[0]
@@ -181,3 +198,19 @@ class TestResidual:
         b = noise_waveform(0.5, channels=2)
         with pytest.raises(PipelineError):
             instrumental_residual(a, b)
+
+    def test_mono_mixture_matches_duplicated(self):
+        mono = noise_waveform(1.0, channels=1, seed=37)
+        vocals = noise_waveform(1.0, channels=2, seed=38)
+        stereo = Waveform(np.repeat(mono.samples, 2, axis=0), 44100)
+        r = instrumental_residual(mono, vocals)
+        assert np.array_equal(r.samples, instrumental_residual(stereo, vocals).samples)
+
+    def test_mono_mixture_mismatch(self):
+        vocals = noise_waveform(1.0, channels=2)
+        with pytest.raises(PipelineError, match="shape"):
+            instrumental_residual(noise_waveform(0.5, channels=1), vocals)
+        with pytest.raises(PipelineError, match="rate"):
+            instrumental_residual(Waveform(noise_waveform(1.0).samples, 48000), vocals)
+        with pytest.raises(PipelineError, match="shape"):
+            instrumental_residual(vocals, noise_waveform(1.0, channels=1))
