@@ -8,9 +8,9 @@ spectrogram is
     theta = angle of (Pr, Pi), normalized with an eps-stabilized length
     S     = mag * exp(j * angle(X)) * exp(j * theta)
 
-with both rotations applied as products of unit phasors, so the mixture
-phase never needs to be unwrapped. Analytic gradients of (re, im)
-with respect to all four tensors are provided for verification.
+with both rotations as products of unit phasors, so the mixture phase is
+never unwrapped; sigmoid is numpy's 1 / (1 + exp(-M)) in M's float dtype.
+Analytic gradients of (re, im) w.r.t. all four tensors serve verification.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .spectral import ComplexSpectrogram, MagPhase
 
@@ -57,6 +56,15 @@ def _check_shapes(mix: MagPhase, out: NetworkOutput):
         )
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in x's float dtype and one temporary; overflow gives 0."""
+    s = np.negative(x, dtype=np.result_type(x, np.float32))
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1
+    return np.divide(1, s, out=s)
+
+
 def _rotation(pr: np.ndarray, pi: np.ndarray):
     """Unit phasor of (Pr, Pi) and the inverse of its eps-stabilized length.
 
@@ -81,7 +89,7 @@ def apply_cirm(mix: MagPhase, out: NetworkOutput) -> ComplexSpectrogram:
     mixture phasor.
     """
     _check_shapes(mix, out)
-    mag = np.maximum(mix.magnitude * expit(out.mask_logits) + out.mag_residual, 0.0)
+    mag = np.maximum(mix.magnitude * _sigmoid(out.mask_logits) + out.mag_residual, 0.0)
     pr, pi = out.phase_real, out.phase_imag
     with np.errstate(over="ignore"):
         inv = np.square(pr, dtype=np.result_type(pr, pi, np.float32))
@@ -116,7 +124,7 @@ def cirm_gradients(
     """
     _check_shapes(mix, out)
 
-    sig = expit(out.mask_logits)
+    sig = _sigmoid(out.mask_logits)
     pre = mix.magnitude * sig + out.mag_residual
     active = pre > 0
     mag = np.maximum(pre, 0.0)

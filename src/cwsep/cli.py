@@ -28,10 +28,10 @@ class UsageError(Exception):
     pass
 
 
-def _noise_probe(seconds: float, sample_rate: int = 44100) -> Waveform:
+def _noise_probe(seconds: float) -> Waveform:
     rng = np.random.default_rng(NOISE_SEED)
-    n = int(round(seconds * sample_rate))
-    return Waveform(0.1 * rng.standard_normal((1, n)), sample_rate)
+    n = int(round(seconds * pipeline.PIPELINE_RATE))
+    return Waveform(0.1 * rng.standard_normal((1, n)), pipeline.PIPELINE_RATE)
 
 
 def _check_taps(taps: int, bands_list) -> None:
@@ -59,6 +59,8 @@ def cmd_design_filters(args) -> int:
 def cmd_recon_test(args) -> int:
     if args.input is None and args.noise_seconds is None:
         raise UsageError("either --input or --noise-seconds is required")
+    if args.noise_seconds is not None and not 0 < args.noise_seconds < math.inf:
+        raise UsageError(f"--noise-seconds must be finite and > 0, got {args.noise_seconds}")
     supported = {str(b): b for b in fbmod.SUPPORTED_BANDS}
     entries = [e.strip() for e in args.bands_list.split(",")]
     for entry in entries:

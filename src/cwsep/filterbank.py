@@ -1,9 +1,9 @@
 """Uniform analysis/synthesis filterbank for channel-wise subband processing.
 
 A cosine-modulated (pseudo-QMF) bank is built from a single lowpass
-prototype: Kaiser-windowed sinc initialization followed by gradient
-descent, with the exact gradient, on the reconstruction error of the
-full analysis->synthesis cascade. The cascade of a well-designed
+prototype: a sinc under numpy's Kaiser window (np.kaiser, beta 9), then
+gradient descent, with the exact gradient, on the reconstruction error
+of the full analysis->synthesis cascade. The cascade of a well-designed
 N-band/64-tap bank approximates a pure delay of taps-1 samples.
 
 Analysis filters each channel and keeps every N-th output sample
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal.windows import kaiser
 
 from . import metrics
 from .wave_io import Waveform
@@ -40,6 +39,7 @@ DEFAULT_TAPS = 64
 # the schedule keeps reconstruction SNR decreasing as bands increase.
 DEFAULT_ITERATIONS = {2: 1800, 4: 1300, 8: 500}
 INITIAL_STEP = 1.0
+KAISER_BETA = 9.0  # window shape of the initial prototype
 
 # design is declared non-convergent above this cascade-error objective
 CONVERGENCE_THRESHOLD = 1e-3
@@ -112,7 +112,7 @@ class FilterBank:
         )
 
 
-def _prototype_init(taps: int, num_bands: int, beta: float = 9.0) -> np.ndarray:
+def _prototype_init(taps: int, num_bands: int) -> np.ndarray:
     """Kaiser-windowed sinc lowpass, cutoff pi/(2N)."""
     n = np.arange(taps)
     mid = (taps - 1) / 2
@@ -120,7 +120,7 @@ def _prototype_init(taps: int, num_bands: int, beta: float = 9.0) -> np.ndarray:
     arg = n - mid
     safe = np.where(arg == 0, 1.0, arg)
     p = np.where(arg == 0, wc / np.pi, np.sin(wc * arg) / (np.pi * safe))
-    return p * kaiser(taps, beta)
+    return p * np.kaiser(taps, KAISER_BETA)
 
 
 def _modulation_matrices(taps: int, num_bands: int):

@@ -14,6 +14,7 @@ from .wave_io import Waveform
 
 SDR_CAP_DB = 300.0
 SILENCE_ENERGY = 1e-12
+FRAME_SECONDS = 1.0
 
 
 class MetricsError(Exception):
@@ -65,13 +66,13 @@ def sdr_global(reference: Waveform, estimate: Waveform) -> float:
     return _sdr(_energy(ref), ref, estimate.samples)
 
 
-def _frame_sdrs(reference: Waveform, estimate: Waveform, frame_seconds: float) -> list:
-    """SDR of each non-overlapping frame whose reference is not silent."""
+def _frame_sdrs(reference: Waveform, estimate: Waveform) -> list:
+    """SDR of each non-overlapping FRAME_SECONDS frame whose reference is not silent."""
     _check_shapes(reference, estimate)
-    frame_len = int(round(frame_seconds * reference.sample_rate))
+    frame_len = int(round(FRAME_SECONDS * reference.sample_rate))
     if reference.num_samples < frame_len:
         raise MetricsError(
-            f"signal shorter than one {frame_seconds} s frame ({frame_len} samples)"
+            f"signal shorter than one {FRAME_SECONDS} s frame ({frame_len} samples)"
         )
     ref = np.asarray(reference.samples, dtype=np.float64)
     values = []
@@ -86,11 +87,9 @@ def _frame_sdrs(reference: Waveform, estimate: Waveform, frame_seconds: float) -
     return values
 
 
-def sdr_framewise_median(
-    reference: Waveform, estimate: Waveform, frame_seconds: float = 1.0
-) -> float:
+def sdr_framewise_median(reference: Waveform, estimate: Waveform) -> float:
     """Median SDR over non-overlapping frames, skipping silent-reference frames."""
-    return float(np.median(_frame_sdrs(reference, estimate, frame_seconds)))
+    return float(np.median(_frame_sdrs(reference, estimate)))
 
 
 def evaluation_report(
@@ -98,7 +97,7 @@ def evaluation_report(
 ) -> dict:
     """JSON-ready report with global and framewise-median SDR."""
     sdr = sdr_global(reference, estimate)
-    frames = _frame_sdrs(reference, estimate, 1.0)
+    frames = _frame_sdrs(reference, estimate)
     return {
         "track": track,
         "source": source,

@@ -221,7 +221,7 @@ class Model:
             )
         return results
 
-    def _conv(self, x, prefix, cols=None):
+    def _conv(self, x, prefix, cols):
         w = self.params[f"{prefix}.weight"]
         b = self.params.get(f"{prefix}.bias")
         return _conv2d(x, w, b, cols)
@@ -441,12 +441,17 @@ def read_store(path) -> WeightStore:
     tensors = {}
     for entry in header["tensors"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = data_start + entry["offset"]
-        end = start + 4 * count
+        name, dtype, offset = entry["name"], entry.get("dtype"), entry.get("offset")
+        if dtype != "f32" or type(offset) is not int or offset < 0:
+            raise WeightStoreError(
+                f"{path}: tensor {name!r} has dtype {dtype!r} and offset {offset!r}, "
+                "expected 'f32' and an integer >= 0"
+            )
+        start = data_start + offset
+        end = start + 4 * int(np.prod(shape))
         if end > len(raw):
-            raise WeightStoreError(f"{path}: truncated data for tensor {entry['name']!r}")
-        tensors[entry["name"]] = np.frombuffer(raw[start:end], dtype="<f4").reshape(shape)
+            raise WeightStoreError(f"{path}: truncated data for tensor {name!r}")
+        tensors[name] = np.frombuffer(raw[start:end], dtype="<f4").reshape(shape)
     return WeightStore(
         config_hash=header["config_hash"],
         tensors=tensors,

@@ -5,6 +5,7 @@ import pytest
 
 from cwsep.cirm import (
     NetworkOutput,
+    _sigmoid,
     apply_cirm,
     cirm_gradients,
     identity_output,
@@ -236,3 +237,30 @@ def test_phase_vectors_near_float32_max():
     # the rotation hardly moves for a vector this long
     assert np.all(np.isfinite(g.phase_real)) and np.all(np.isfinite(g.phase_imag))
     assert np.max(np.abs(g.phase_real) + np.abs(g.phase_imag)) <= 1e-30
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_identity_logit_is_exactly_one(self, dtype):
+        # identity_output relies on sigmoid(40) == 1 for a bit-exact mixture
+        s = _sigmoid(np.full(4, 40.0, dtype=dtype))
+        assert s.dtype == dtype
+        assert np.all(s == 1.0)
+
+    def test_saturates_exactly_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = _sigmoid(np.array([1e4, -1e4], dtype=np.float32))
+        assert s.dtype == np.float32
+        assert s[0] == 1.0 and s[1] == 0.0
+
+    def test_float32_within_one_ulp_of_float64(self):
+        # one ulp of float32 at 1.0, the top of the sigmoid's range
+        x = np.random.default_rng(17).uniform(-40.0, 40.0, 200_000).astype(np.float32)
+        ref = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+        s = _sigmoid(x)
+        assert s.dtype == np.float32
+        err = np.abs(s - ref)
+        assert np.max(err) <= np.finfo(np.float32).eps
+        # and a few ulps of its own size in the exponentially small tail
+        assert np.all(err <= 8 * np.spacing(ref.astype(np.float32)))

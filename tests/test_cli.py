@@ -127,6 +127,18 @@ class TestReconTest:
         assert "snr_db" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf"])
+    def test_bad_noise_seconds_usage_error(self, capsys, monkeypatch, seconds):
+        def no_design(*args, **kwargs):
+            raise AssertionError("bank designed before --noise-seconds was checked")
+
+        monkeypatch.setattr("cwsep.filterbank.design_filterbank", no_design)
+        code, out, err = run(capsys, "recon-test", "--bands-list", "4",
+                             "--noise-seconds", seconds)
+        assert code == 2
+        assert "--noise-seconds" in err
+        assert out == ""
+
     @pytest.mark.parametrize("bands_list, taps, multiple", [
         ("8", "60", 16), ("2,4", "12", 8), ("2", "0", 4),
     ])

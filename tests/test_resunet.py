@@ -1,3 +1,5 @@
+import json
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -257,6 +259,32 @@ class TestWeightStore:
         p.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(WeightStoreError):
             read_store(p)
+
+    @staticmethod
+    def _store_with_first_entry(tmp_path, **changes):
+        """A tiny store whose first header entry gets `changes`; returns its path and name."""
+        p = tmp_path / "edited.cwsw"
+        write_store(save_weights(init_random(build(TINY), seed=17)), p)
+        raw = p.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", raw, 8)
+        header = json.loads(raw[16 : 16 + header_len])
+        header["tensors"][0].update(changes)
+        text = json.dumps(header).encode()
+        p.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + header_len :])
+        return p, header["tensors"][0]["name"]
+
+    @pytest.mark.parametrize("dtype", ["f16", "f64", None])
+    def test_non_f32_dtype_rejected(self, tmp_path, dtype):
+        p, name = self._store_with_first_entry(tmp_path, dtype=dtype)
+        with pytest.raises(WeightStoreError, match=f"{name}.*dtype"):
+            read_store(p)
+
+    @pytest.mark.parametrize("offset", [-16, 1.5, "0", None])
+    def test_bad_offset_rejected(self, tmp_path, offset):
+        # offset -16 would read the last 16 header bytes as weights
+        p, name = self._store_with_first_entry(tmp_path, offset=offset)
+        with pytest.raises(WeightStoreError, match=f"{name}.*offset"):
+            model_from_store(read_store(p))
 
     def test_model_from_store(self, tmp_path):
         model = init_random(build(TINY), seed=15)
