@@ -31,7 +31,7 @@ from .resunet import (
     save_weights,
     write_store,
 )
-from .spectral import ComplexSpectrogram, MagPhase, istft, stft_streams, to_magphase
+from .spectral import MagPhase, istft, stft_streams, to_magphase
 from .wave_io import Waveform, read_wav, write_wav
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "analysis",
     "synthesis",
     "measure_reconstruction",
-    "ComplexSpectrogram",
     "MagPhase",
     "stft_streams",
     "istft",

@@ -10,7 +10,9 @@ spectrogram is
 
 with both rotations as products of unit phasors, so the mixture phase is
 never unwrapped; sigmoid is numpy's 1 / (1 + exp(-M)) in M's float dtype.
-Analytic gradients of (re, im) w.r.t. all four tensors serve verification.
+apply_cirm takes the mixture as spectral.MagPhase and returns S as a
+plain complex ndarray shaped like the mixture. Analytic gradients of
+(re, im) w.r.t. all four tensors serve verification.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ComplexSpectrogram, MagPhase
+from .spectral import MagPhase
 
 DEFAULT_EPS = 1e-8
 
@@ -79,7 +81,7 @@ def _rotation(pr: np.ndarray, pi: np.ndarray):
     return (pr + 1j * pi) / half, 0.5 / half
 
 
-def apply_cirm(mix: MagPhase, out: NetworkOutput) -> ComplexSpectrogram:
+def apply_cirm(mix: MagPhase, out: NetworkOutput) -> np.ndarray:
     """Reconstruct the estimated complex spectrogram from mask and phase.
 
     The inverse length 1/sqrt(Pr^2 + Pi^2 + eps) is formed from plain
@@ -107,7 +109,7 @@ def apply_cirm(mix: MagPhase, out: NetworkOutput) -> ComplexSpectrogram:
         rot, _ = _rotation(pr[huge], pi[huge])
         data[huge] = mag[huge] * rot
     data *= mix.phase
-    return ComplexSpectrogram(data)
+    return data
 
 
 def cirm_gradients(

@@ -71,9 +71,14 @@ def cmd_recon_test(args) -> int:
     bands_list = [supported[e] for e in entries]
     _check_taps(args.taps, bands_list)
     if args.input is not None:
-        probe = read_wav(args.input)
+        probe, flag = read_wav(args.input), "--input"
     else:
-        probe = _noise_probe(args.noise_seconds)
+        probe, flag = _noise_probe(args.noise_seconds), "--noise-seconds"
+    if probe.num_samples < 4 * args.taps:
+        raise UsageError(
+            f"{flag} gives a {probe.num_samples}-sample probe; "
+            f"at least {4 * args.taps} (4 x --taps) are needed"
+        )
     results = []
     print(f"{'bands':>6} {'snr_db':>10} {'max_abs_err':>12}", file=sys.stderr)
     for bands in bands_list:

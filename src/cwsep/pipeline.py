@@ -3,11 +3,16 @@
 The filterbank runs once per track: the whole input is analysed, the
 band streams are cut into 10 s segments (rectangular, no overlap) for
 the network stage only (STFT -> network -> complex-mask reconstruction
--> iSTFT), the band estimates are joined, and each source is
-synthesised once and cut at the filterbank delay. Segments run
+-> iSTFT), each segment writes its columns of one float32 [sources,
+channels * bands, length] estimate array, and each source is
+synthesised once from it and cut at the filterbank delay. Segments run
 independently on a thread pool of `workers` threads (the CLI reads it
 from CWS_THREADS), so the output does not depend on the number of
 workers; the filterbank never sees a segment boundary.
+
+A model has `out_sources` and `forward(mag)`, which maps a float32
+magnitude [channels * bands, frames, spectral.BINS] to a sequence of
+exactly `out_sources` cirm.NetworkOutputs shaped like `mag`.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ class IdentityModel:
         self.out_sources = out_sources
 
     def forward(self, mag):
-        return [identity_output(mag.shape, mag.dtype) for _ in range(self.out_sources)]
+        # NetworkOutput is immutable, so one instance serves every source
+        return [identity_output(mag.shape, mag.dtype)] * self.out_sources
 
 
 def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
@@ -49,7 +55,8 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
     per CPU, negative raises PipelineError before any work); output order
     and values are independent of scheduling. A failing segment raises
     PipelineError naming its index, start time and stage (stft, forward,
-    cirm or istft).
+    cirm or istft); a forward pass that returns other than
+    `model.out_sources` outputs fails in its forward stage.
     """
     if workers < 0:
         raise PipelineError(f"workers must be >= 0 (0 = one per CPU), got {workers}")
@@ -60,37 +67,37 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
     n = x.num_samples
     if n == 0:
         raise PipelineError("cannot separate an empty signal")
-    samples = x.samples.astype(np.float32, copy=False)
-    if samples.shape[0] == 1:
-        samples = np.repeat(samples, 2, axis=0)
-    channels = samples.shape[0]
-
     # whole segments plus the filter length, so the delayed tail survives
     seg_len = int(round(SEGMENT_SECONDS * PIPELINE_RATE))
     count = -(-n // seg_len)
-    padded = np.pad(samples, ((0, 0), (0, count * seg_len + fb.taps - n)))
+    # the only float32 copy of the input; a mono row fills both channels
+    channels = 2
+    padded = np.zeros((channels, count * seg_len + fb.taps), dtype=np.float32)
+    padded[:, :n] = x.samples
     streams = fbmod.analysis(Waveform(padded, PIPELINE_RATE), fb)
+    del padded
     # channel-major [channels * bands, length]: one row per band stream
     streams = streams.reshape(channels * fb.num_bands, -1)
-    del padded
     step = seg_len // fb.num_bands
     # the last segment also takes the tail past count * step
     bounds = [k * step for k in range(count)] + [streams.shape[1]]
+    estimates = np.empty((model.out_sources, *streams.shape), dtype=np.float32)
 
     def network(k):
         stage = "stft"
         try:
-            seg = streams[:, bounds[k] : bounds[k + 1]]
-            mix = spectral.to_magphase(spectral.stft_streams(seg))
+            lo, hi = bounds[k], bounds[k + 1]
+            mix = spectral.to_magphase(spectral.stft_streams(streams[:, lo:hi]))
             stage = "forward"
-            estimates = []
-            for out in model.forward(mix.magnitude):
+            outs = model.forward(mix.magnitude)
+            if len(outs) != model.out_sources:
+                raise ValueError(f"{len(outs)} outputs for out_sources = {model.out_sources}")
+            for est, out in zip(estimates, outs):
                 stage = "cirm"
                 masked = apply_cirm(mix, out)
                 stage = "istft"
-                estimates.append(spectral.istft(masked, seg.shape[1]))
+                est[:, lo:hi] = spectral.istft(masked, hi - lo)
                 del masked  # free it before the next source's mask
-            return estimates
         except Exception as e:
             raise PipelineError(
                 f"segment {k} (from {k * SEGMENT_SECONDS:g} s), {stage}: {e}"
@@ -101,10 +108,8 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
         return Waveform(y[:, fb.system_delay : fb.system_delay + n], PIPELINE_RATE)
 
     with ThreadPoolExecutor(max_workers=workers or os.cpu_count() or 1) as pool:
-        per_segment = list(pool.map(network, range(count)))
-        per_source = [np.concatenate(parts, axis=1) for parts in zip(*per_segment)]
-        del per_segment
-        return list(pool.map(synthesize, per_source))
+        list(pool.map(network, range(count)))
+        return list(pool.map(synthesize, estimates))
 
 
 def instrumental_residual(mixture: Waveform, vocals: Waveform) -> Waveform:

@@ -226,11 +226,11 @@ class Model:
         b = self.params.get(f"{prefix}.bias")
         return _conv2d(x, w, b, cols)
 
-    def _block(self, x, prefix, cols=None):
+    def _block(self, x, prefix, cols):
         y = _leaky(self._conv(x, f"{prefix}.conv1", cols), cols)
         y = self._conv(y, f"{prefix}.conv2", cols)
-        sc_name = f"{prefix}.shortcut.weight"
-        y += _conv2d(x, self.params[sc_name], None) if sc_name in self.params else x
+        shortcut = f"{prefix}.shortcut"
+        y += self._conv(x, shortcut, cols) if f"{shortcut}.weight" in self.params else x
         return y
 
 
@@ -248,17 +248,17 @@ def _cols_size(config, hgt, wid):
     )
 
 
-def _leaky(x, scratch=None):
+def _leaky(x, scratch):
     """Leaky ReLU in place: max(x, slope * x) for 0 < slope < 1.
 
     The product goes to the flat float32 `scratch` (at least x.size
-    elements) when given, else to a temporary.
+    elements).
     """
-    tmp = None if scratch is None else scratch[: x.size].reshape(x.shape)
+    tmp = scratch[: x.size].reshape(x.shape)
     return np.maximum(x, np.multiply(x, LEAKY_SLOPE, out=tmp), out=x)
 
 
-def _conv2d(x, w, b, cols=None):
+def _conv2d(x, w, b, cols):
     """x [C,H,W], w [O,C,kh,kw] with kh=kw in {1,3}, zero padding to 'same'.
 
     Returns a fresh float32 [O,H,W]. A 1x1 conv is one GEMM on x viewed
@@ -271,16 +271,14 @@ def _conv2d(x, w, b, cols=None):
     over blocks of C output channels, each into the conv's one z buffer,
     so z never outgrows the column buffer. `cols` is flat float32
     scratch of at least 3*C*(H+2)*W elements, reused across the layers
-    of one forward call; without it a buffer is allocated for this call.
+    of one forward call; a 1x1 conv does not touch it.
     """
     o, c, kh, kw = w.shape
     _, hgt, wid = x.shape
     if kh == 1:
         y = w.reshape(o, c) @ x.reshape(c, hgt * wid)
     else:
-        n = c * 3 * (hgt + 2) * wid
-        buf = np.empty(n, dtype=np.float32) if cols is None else cols[:n]
-        buf = buf.reshape(c, 3, hgt + 2, wid)
+        buf = cols[: c * 3 * (hgt + 2) * wid].reshape(c, 3, hgt + 2, wid)
         buf[:, :, 0] = 0
         buf[:, :, -1] = 0
         # tap j at column s reads input column s + j - 1

@@ -3,12 +3,16 @@
 The grid is fixed and described only by this module's constants:
 periodic Hann window of WIN_LENGTH = 512 samples, hop HOP = 110, FFT
 size equal to the window, one-sided, so BINS = 257 bins per frame.
-Spectrogram objects carry arrays only. Signals are zero-padded by
-WIN_LENGTH/2 on each side before framing; the inverse uses weighted
-overlap-add with window-squared normalization (floored at 1e-8), which
-is exact on interior samples even though hop 110 is not a COLA hop for
-Hann. Every transform follows its input precision: float32 streams give
-complex64 spectrograms and back.
+Signals are zero-padded by WIN_LENGTH/2 on each side before framing;
+the inverse uses weighted overlap-add with window-squared normalization
+(floored at 1e-8), which is exact on interior samples even though hop
+110 is not a COLA hop for Hann.
+
+A spectrogram is a plain complex ndarray [channels, frames, BINS]. Its
+entries are not scanned for NaN/Inf here: in the pipeline every
+spectrogram is computed from a checked Waveform or NetworkOutput. Every
+transform follows its input precision: float32 streams give complex64
+spectrograms and back.
 """
 
 from __future__ import annotations
@@ -22,21 +26,6 @@ WIN_LENGTH = 512
 HOP = 110
 BINS = WIN_LENGTH // 2 + 1
 NORM_FLOOR = 1e-8
-
-
-@dataclass(frozen=True)
-class ComplexSpectrogram:
-    """One-sided complex STFT, [channels, frames, bins]."""
-
-    data: np.ndarray  # complex [channels, T, F]
-
-    def __post_init__(self):
-        d = np.asarray(self.data)
-        if d.ndim != 3:
-            raise ValueError(f"data must be [channels, frames, bins], got {d.shape}")
-        if not np.all(np.isfinite(d.real)) or not np.all(np.isfinite(d.imag)):
-            raise ValueError("spectrogram entries must be finite")
-        object.__setattr__(self, "data", d)
 
 
 @dataclass(frozen=True)
@@ -55,8 +44,8 @@ def _hann(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n) / n)
 
 
-def stft_streams(streams: np.ndarray) -> ComplexSpectrogram:
-    """STFT of raw streams [channels, length]; float32 in, complex64 out."""
+def stft_streams(streams: np.ndarray) -> np.ndarray:
+    """STFT of streams [channels, length] -> [channels, frames, BINS]; f32 in, complex64 out."""
     streams = np.atleast_2d(np.asarray(streams))
     n = streams.shape[1]
     if n < WIN_LENGTH:
@@ -65,15 +54,14 @@ def stft_streams(streams: np.ndarray) -> ComplexSpectrogram:
     x = np.pad(streams, ((0, 0), (pad, pad)))
     win = _hann(WIN_LENGTH).astype(np.result_type(streams.dtype, np.float32))
     framed = sliding_window_view(x, WIN_LENGTH, axis=1)[:, ::HOP] * win  # [C, T, win]
-    spec = np.fft.rfft(framed, n=WIN_LENGTH, axis=2)
-    return ComplexSpectrogram(spec)
+    return np.fft.rfft(framed, n=WIN_LENGTH, axis=2)
 
 
-def istft(spec: ComplexSpectrogram, out_length: int) -> np.ndarray:
-    """Weighted overlap-add inverse; returns streams [channels, out_length]."""
-    channels, num_frames, bins = spec.data.shape
-    if bins != BINS:
-        raise ValueError(f"expected {BINS} bins, got {bins}")
+def istft(spec: np.ndarray, out_length: int) -> np.ndarray:
+    """Weighted overlap-add inverse of [channels, frames, BINS] -> [channels, out_length]."""
+    if spec.ndim != 3 or spec.shape[2] != BINS:
+        raise ValueError(f"spectrogram must be [channels, frames, {BINS}], got {spec.shape}")
+    channels, num_frames, _ = spec.shape
     pad = WIN_LENGTH // 2
     buf_len = WIN_LENGTH + (num_frames - 1) * HOP
     if out_length + pad > buf_len:
@@ -81,7 +69,7 @@ def istft(spec: ComplexSpectrogram, out_length: int) -> np.ndarray:
             f"requested {out_length} samples but frames only cover {buf_len - pad}"
         )
 
-    frames = np.fft.irfft(spec.data, n=WIN_LENGTH, axis=2)
+    frames = np.fft.irfft(spec, n=WIN_LENGTH, axis=2)
     win = _hann(WIN_LENGTH).astype(frames.dtype)
     win_sq = win**2
     frames *= win[None, None, :]
@@ -96,8 +84,8 @@ def istft(spec: ComplexSpectrogram, out_length: int) -> np.ndarray:
     return out[:, pad : pad + out_length]
 
 
-def to_magphase(spec: ComplexSpectrogram) -> MagPhase:
-    mag = np.abs(spec.data)
-    phase = np.ones_like(spec.data)
-    np.divide(spec.data, mag, out=phase, where=mag > 0)
+def to_magphase(spec: np.ndarray) -> MagPhase:
+    mag = np.abs(spec)
+    phase = np.ones_like(spec)
+    np.divide(spec, mag, out=phase, where=mag > 0)
     return MagPhase(magnitude=mag, phase=phase)

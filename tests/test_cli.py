@@ -139,6 +139,20 @@ class TestReconTest:
         assert "--noise-seconds" in err
         assert out == ""
 
+    @pytest.mark.parametrize("seconds, samples", [("0.00001", 0), ("0.005", 220)])
+    def test_short_noise_probe_usage_error(self, capsys, monkeypatch, seconds, samples):
+        def no_design(*args, **kwargs):
+            raise AssertionError("bank designed before the probe length was checked")
+
+        monkeypatch.setattr("cwsep.filterbank.design_filterbank", no_design)
+        code, out, err = run(capsys, "recon-test", "--bands-list", "4",
+                             "--noise-seconds", seconds)
+        assert code == 2
+        assert f"--noise-seconds gives a {samples}-sample probe" in err
+        assert "at least 256" in err
+        assert "snr_db" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("bands_list, taps, multiple", [
         ("8", "60", 16), ("2,4", "12", 8), ("2", "0", 4),
     ])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,7 @@ class TestSeparate:
 
     def test_failing_segment_is_named(self, fb4):
         class BadSecondSegment:
+            out_sources = 1
             calls = 0
 
             def forward(self, mag):
@@ -167,6 +170,32 @@ class TestSeparate:
             separate(x, RaisingForward(), fb4)
         with pytest.raises(PipelineError, match=r"segment 0 \(from 0 s\), cirm: "):
             separate(x, WrongShape(), fb4)
+
+    @pytest.mark.parametrize("sources, returned", [(1, 2), (2, 1)])
+    def test_source_count_mismatch_is_named(self, fb4, sources, returned):
+        class Miscounted:
+            out_sources = sources
+
+            def forward(self, mag):
+                return IdentityModel(returned).forward(mag)
+
+        x = noise_waveform(1.0, channels=2, seed=40)
+        with pytest.raises(PipelineError, match=r"segment 0 \(from 0 s\), forward: .*out_sources"):
+            separate(x, Miscounted(), fb4)
+
+    def test_peak_memory_in_input_bytes(self, fb4):
+        # 60 s is six segments. Per-segment estimate lists joined by
+        # np.concatenate, a second float32 copy of the input and a
+        # separate identity output for each source read 7.5x; this
+        # design reads 4.9x (numpy 2.4)
+        x = noise_waveform(60.0, channels=2, seed=41)
+        tracemalloc.start()
+        try:
+            separate(x, IdentityModel(4), fb4, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.0 * x.samples.nbytes
 
 
 class TestResidual:

@@ -152,7 +152,8 @@ class TestForward:
         cfg = ModelConfig(in_channels=4, blocks_per_level=(1,), channels_per_level=(4,))
         model = build(cfg)
         x = np.random.default_rng(11).standard_normal((4, 8, 8)).astype(np.float32)
-        assert np.array_equal(model._block(x, "enc0.block0"), x)
+        cols = np.empty(resunet._cols_size(cfg, 8, 8), np.float32)
+        assert np.array_equal(model._block(x, "enc0.block0", cols), x)
 
 
 def conv_oracle(x, w, b):
@@ -184,8 +185,12 @@ class TestConv2d:
         x = rng.standard_normal((c, hgt, wid)).astype(np.float32)
         w = rng.standard_normal((o, c, k, k)).astype(np.float32)
         b = rng.standard_normal(o).astype(np.float32) if bias else None
-        # a reused buffer is larger than needed and holds stale values
-        cols = np.full(9 * c * hgt * wid + 11, np.nan, np.float32) if reuse else None
+        # a reused buffer is larger than needed and holds stale values;
+        # a fresh one has exactly the 3x3 size
+        if reuse:
+            cols = np.full(9 * c * hgt * wid + 11, np.nan, np.float32)
+        else:
+            cols = np.empty(3 * c * (hgt + 2) * wid, np.float32)
         got = _conv2d(x, w, b, cols)
         ref = conv_oracle(x, w, b)
         assert got.shape == (o, hgt, wid) and got.dtype == np.float32
