@@ -100,8 +100,8 @@ def cmd_separate(args) -> int:
         raise UsageError(f"--sources names a source more than once: {args.sources!r}")
     if args.residual_instrumental and "vocals" not in sources:
         raise UsageError("--residual-instrumental requires 'vocals' among --sources")
-    # CWS_THREADS: worker threads of separate, 0 = one per CPU
-    threads = os.environ.get("CWS_THREADS", "1").strip()
+    # CWS_THREADS: worker threads of separate, 0 (the default) = one per CPU
+    threads = os.environ.get("CWS_THREADS", "0").strip()
     if not threads.isdecimal():
         raise UsageError(f"CWS_THREADS must be a whole number >= 0, got {threads!r}")
 

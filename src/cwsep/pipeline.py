@@ -8,16 +8,27 @@ channels * bands, length] estimate array, and each source is
 synthesised once from it and cut at the filterbank delay. Segments run
 independently on a thread pool of `workers` threads (the CLI reads it
 from CWS_THREADS), so the output does not depend on the number of
-workers; the filterbank never sees a segment boundary.
+workers; the filterbank never sees a segment boundary. Each forward
+pass gets the same pool and spreads its convs over the threads no
+segment is using (a single segment, or the last one of a track). While
+the pool has more than one thread, numpy's bundled OpenBLAS is held at
+one thread, so the pool's threads are the only ones.
 
-A model has `out_sources` and `forward(mag)`, which maps a float32
-magnitude [channels * bands, frames, spectral.BINS] to a sequence of
-exactly `out_sources` cirm.NetworkOutputs shaped like `mag`.
+A model has `out_sources` and `forward(mag, pool=None)`, which maps a
+float32 magnitude [channels * bands, frames, spectral.BINS] to a
+sequence of exactly `out_sources` cirm.NetworkOutputs shaped like
+`mag`. `pool` is the segment pool, which the model may use for its own
+jobs (`IdentityModel` ignores it); its output must not depend on it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import importlib
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -42,9 +53,60 @@ class IdentityModel:
     def __init__(self, out_sources: int = 1):
         self.out_sources = out_sources
 
-    def forward(self, mag):
+    def forward(self, mag, pool=None):
         # NetworkOutput is immutable, so one instance serves every source
         return [identity_output(mag.shape, mag.dtype)] * self.out_sources
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS thread-count getter and setter, or None without them."""
+    try:
+        umath = importlib.import_module("numpy._core._multiarray_umath")
+        lib = ctypes.CDLL(umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+class _OneBlasThread:
+    """Holds numpy's OpenBLAS at one thread; does nothing without its control.
+
+    The thread count is process-wide, so concurrent holds share one:
+    the first saves the count and sets 1, the last restores it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._before = None
+
+    @contextlib.contextmanager
+    def hold(self):
+        control = _openblas()
+        if control is None:
+            yield
+            return
+        get, set_ = control
+        with self._lock:
+            if self._holders == 0:
+                self._before = get()
+                set_(1)
+            self._holders += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._holders -= 1
+                if self._holders == 0:
+                    set_(self._before)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
@@ -52,10 +114,11 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
 
     Mono inputs are duplicated to stereo here. `workers` threads run the
     network stage of the segments and the per-source synthesis (0 = one
-    per CPU, negative raises PipelineError before any work); output order
-    and values are independent of scheduling. A failing segment raises
-    PipelineError naming its index, start time and stage (stft, forward,
-    cirm or istft); a forward pass that returns other than
+    per CPU, negative raises PipelineError before any work); with more
+    than one, numpy's OpenBLAS is held at one thread meanwhile. Output
+    order and values are independent of scheduling. A failing segment
+    raises PipelineError naming its index, start time and stage (stft,
+    forward, cirm or istft); a forward pass that returns other than
     `model.out_sources` outputs fails in its forward stage.
     """
     if workers < 0:
@@ -89,7 +152,7 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
             lo, hi = bounds[k], bounds[k + 1]
             mix = spectral.to_magphase(spectral.stft_streams(streams[:, lo:hi]))
             stage = "forward"
-            outs = model.forward(mix.magnitude)
+            outs = model.forward(mix.magnitude, pool)
             if len(outs) != model.out_sources:
                 raise ValueError(f"{len(outs)} outputs for out_sources = {model.out_sources}")
             for est, out in zip(estimates, outs):
@@ -107,7 +170,9 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
         y = fbmod.synthesis(bands.reshape(channels, fb.num_bands, -1), fb, PIPELINE_RATE).samples
         return Waveform(y[:, fb.system_delay : fb.system_delay + n], PIPELINE_RATE)
 
-    with ThreadPoolExecutor(max_workers=workers or os.cpu_count() or 1) as pool:
+    threads = workers or os.cpu_count() or 1
+    pin = _ONE_BLAS_THREAD.hold() if threads > 1 else contextlib.nullcontext()
+    with pin, ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(network, range(count)))
         return list(pool.map(synthesize, estimates))
 

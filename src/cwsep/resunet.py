@@ -12,18 +12,29 @@ Layer counting rule: every convolution counts, including 1x1 shortcuts,
 upsample convs, and the head. The bundled presets hit 276 and 166 conv
 layers under this rule.
 
-Convolutions are GEMMs. A 1x1 conv multiplies [O, C] weights by the
-input viewed as [C, H*W]. A 3x3 conv is "row-tap": it copies only the
+Convolutions are GEMMs. A 3x3 conv is "row-tap": it copies only the
 three column shifts of its input into a channel-first buffer
 [C, 3, H+2, W] with zero pad rows top and bottom and zero edge columns,
 multiplies all three kernel rows at once, [3*O, 3*C] @ [3*C, (H+2)*W]
 (in blocks of C output channels when O > C), and sums the three
-row-shifted [O, H, W] slices of the [3, O, H+2, W] product. Each
-`forward` call allocates one column buffer of 3*C*(H+2)*W elements for
-its widest 3x3 layer and reuses it for every layer (and as leaky-ReLU
-scratch); the buffer lives only in that call, so threads may share one
-Model. Bias, leaky-ReLU and the residual add work in place on each
-conv's fresh output.
+row-shifted [O, H, W] slices of the [3, O, H+2, W] product. A 1x1 conv
+(a residual shortcut) is the same with one tap and no row shift. Bias,
+leaky-ReLU and the residual add then work in place on each block of
+the conv's fresh output.
+
+Every conv is cut into row slabs: `min(threads, H)` slabs, where
+`threads` is the size of the pool passed to `forward` (one slab without
+a pool). A 3x3 slab reads one halo row on each side and does its own
+column copy, GEMM, row sum, bias, leaky-ReLU and residual add, so its
+output rows are the same bits as the unsplit conv's. The calling thread
+runs slab 0 and every slab no idle pool thread has started. Each GEMM
+has a multiple of 16 columns (the pad columns are zero and their
+products unused): numpy's bundled OpenBLAS computes the last 1-8
+columns of a small GEMM with other rounding, so an unpadded slab would
+not match the unsplit conv. Each `forward` call allocates one column
+buffer (`_cols_size`) with a region per slab for its widest layer and
+reuses it for every layer; the buffer lives only in that call, so
+threads may share one Model.
 
 Inference only; parameters live in a flat name -> float32 array table
 serialized via the CWSW container format.
@@ -178,11 +189,13 @@ class Model:
     def out_sources(self) -> int:
         return self.config.out_sources
 
-    def forward(self, mag: np.ndarray):
+    def forward(self, mag: np.ndarray, pool=None):
         """Map a magnitude tensor [in_channels, T, F] to NetworkOutputs.
 
         Returns one NetworkOutput per source, each tensor shaped exactly
-        like the input.
+        like the input. With a `pool` (a ThreadPoolExecutor) every conv
+        runs as row slabs, one per pool thread, on this thread and the
+        pool's idle threads; the output is the same bits as without.
         """
         cfg = self.config
         mag = np.asarray(mag, dtype=np.float32)
@@ -196,21 +209,22 @@ class Model:
         pad_f = (-f0) % mult
         h = np.pad(mag, ((0, 0), (0, pad_t), (0, pad_f)))
         # one column buffer per call, not per model: threads share a model
-        cols = np.empty(_cols_size(cfg, h.shape[1], h.shape[2]), dtype=np.float32)
+        size = _cols_size(cfg, h.shape[1], h.shape[2], _threads(pool))
+        cols = np.empty(size, dtype=np.float32)
 
         skips = []
         for lvl in range(cfg.num_levels):
             for b in range(cfg.blocks_per_level[lvl]):
-                h = self._block(h, f"enc{lvl}.block{b}", cols)
+                h = self._block(h, f"enc{lvl}.block{b}", cols, pool)
             skips.append(h)
             h = _avgpool2(h)
         for lvl in reversed(range(cfg.num_levels)):
             h = _upsample2(h)
-            h = _leaky(self._conv(h, f"dec{lvl}.upsample", cols), cols)
+            h = self._conv(h, f"dec{lvl}.upsample", cols, pool, leaky=True)
             h = np.concatenate([h, skips[lvl]], axis=0)
             for b in range(cfg.blocks_per_level[lvl]):
-                h = self._block(h, f"dec{lvl}.block{b}", cols)
-        out = self._conv(h, "head", cols)[:, :t0, :f0]
+                h = self._block(h, f"dec{lvl}.block{b}", cols, pool)
+        out = self._conv(h, "head", cols, pool)[:, :t0, :f0]
 
         per_source = np.split(out, cfg.out_sources, axis=0)
         results = []
@@ -221,31 +235,81 @@ class Model:
             )
         return results
 
-    def _conv(self, x, prefix, cols):
+    def _conv(self, x, prefix, cols, pool, leaky=False, residual=None):
         w = self.params[f"{prefix}.weight"]
         b = self.params.get(f"{prefix}.bias")
-        return _conv2d(x, w, b, cols)
+        return _conv2d(x, w, b, cols, pool, leaky, residual)
 
-    def _block(self, x, prefix, cols):
-        y = _leaky(self._conv(x, f"{prefix}.conv1", cols), cols)
-        y = self._conv(y, f"{prefix}.conv2", cols)
+    def _block(self, x, prefix, cols, pool=None):
+        y = self._conv(x, f"{prefix}.conv1", cols, pool, leaky=True)
         shortcut = f"{prefix}.shortcut"
-        y += self._conv(x, shortcut, cols) if f"{shortcut}.weight" in self.params else x
-        return y
+        if f"{shortcut}.weight" in self.params:
+            x = self._conv(x, shortcut, cols, pool)
+        return self._conv(y, f"{prefix}.conv2", cols, pool, residual=x)
 
 
-def _cols_size(config, hgt, wid):
-    """Elements of the largest 3x3 column buffer [C, 3, H+2, W] in one forward pass.
+# GEMM column counts are padded to a multiple of this, so that a column's
+# bits do not depend on where the GEMM's columns start or end (see the
+# module docstring)
+GEMM_COLUMNS = 16
+
+
+def _threads(pool):
+    """Slabs per conv: 1, or the thread count a ThreadPoolExecutor keeps in `_max_workers`."""
+    return 1 if pool is None else pool._max_workers
+
+
+def _slabs(hgt, wid, taps, threads):
+    """(first row, end row, offset, columns) of each row slab of one conv.
+
+    `min(threads, hgt)` slabs (one if hgt is 0) of near-equal row
+    counts. A slab of r rows stages r + taps - 1 input rows as a
+    [C * taps, columns] GEMM operand, `columns` being (r + taps - 1) * wid
+    padded to whole GEMM_COLUMNS; it lives at
+    [C * offset, C * (offset + taps * columns)) of the column buffer.
+    """
+    n = max(min(threads, hgt), 1)
+    slabs, offset = [], 0
+    for i in range(n):
+        r0, r1 = i * hgt // n, (i + 1) * hgt // n
+        columns = -(-(r1 - r0 + taps - 1) * wid // GEMM_COLUMNS) * GEMM_COLUMNS
+        slabs.append((r0, r1, offset, columns))
+        offset += taps * columns
+    return slabs
+
+
+def _cols_size(config, hgt, wid, threads=1):
+    """Elements of the column buffer of one forward pass with `threads` slabs per conv.
 
     At level l (H and W halved l times) the 3x3 convs read the previous
     level's channels (enc block 0), 2x this level's (dec block 0, skip
-    concatenated) and the next level's (upsample conv).
+    concatenated) and the next level's (upsample conv). A 1x1 shortcut
+    reads no more channels than its block's first 3x3 conv and stages
+    fewer columns.
     """
     chans = (config.in_channels,) + config.channels_per_level + (0,)
     return max(
-        3 * max(chans[lvl], 2 * chans[lvl + 1], chans[lvl + 2]) * ((hgt >> lvl) + 2) * (wid >> lvl)
+        max(chans[lvl], 2 * chans[lvl + 1], chans[lvl + 2])
+        * sum(3 * n for *_, n in _slabs(hgt >> lvl, wid >> lvl, 3, threads))
         for lvl in range(config.num_levels)
     )
+
+
+def _fan_out(pool, count, job):
+    """Run job(0), ..., job(count - 1); job 0 here, the rest on idle `pool` threads.
+
+    A job no pool thread has started by the time this thread reaches it
+    runs here, so this thread never waits on a queued job: calls from
+    the pool's own threads cannot deadlock, and jobs only spread when a
+    pool thread is free.
+    """
+    futures = [pool.submit(job, i) for i in range(1, count)]
+    job(0)
+    for i, future in enumerate(futures, 1):
+        if future.cancel():
+            job(i)
+        else:
+            future.result()
 
 
 def _leaky(x, scratch):
@@ -258,51 +322,79 @@ def _leaky(x, scratch):
     return np.maximum(x, np.multiply(x, LEAKY_SLOPE, out=tmp), out=x)
 
 
-def _conv2d(x, w, b, cols):
-    """x [C,H,W], w [O,C,kh,kw] with kh=kw in {1,3}, zero padding to 'same'.
+def _stage(x, lo, hi, taps):
+    """Copy rows lo..hi-1 of x [C,H,W] into taps [C*k, columns] as k column shifts.
 
-    Returns a fresh float32 [O,H,W]. A 1x1 conv is one GEMM on x viewed
-    as [C, H*W]. A 3x3 conv copies the three column shifts of x into a
-    buffer [C,3,H+2,W], tap j holding rows of x shifted by j - 1 columns
-    between zero pad rows and a zero edge column (no padded copy of x).
-    One GEMM, w as [3*O, C*3] (kernel row, then output channel) by the
-    buffer as [C*3, (H+2)*W], gives z [3,O,H+2,W], and the output is
-    z[0,:,0:H] + z[1,:,1:H+1] + z[2,:,2:H+2]. When O > C the GEMM runs
-    over blocks of C output channels, each into the conv's one z buffer,
-    so z never outgrows the column buffer. `cols` is flat float32
-    scratch of at least 3*C*(H+2)*W elements, reused across the layers
-    of one forward call; a 1x1 conv does not touch it.
+    Tap j at column s reads input column s + j - k // 2. Rows outside
+    x, the edge column a shift moves past and the columns past
+    (hi - lo) * W are zero.
     """
-    o, c, kh, kw = w.shape
+    c, hgt, wid = x.shape
+    k = len(taps) // c
+    n = (hi - lo) * wid
+    taps[:, n:] = 0
+    buf = taps[:, :n].reshape(c, k, hi - lo, wid)
+    top, bot = max(lo, 0), min(hi, hgt)
+    buf[:, :, : top - lo] = 0
+    buf[:, :, bot - lo :] = 0
+    src, inner = x[:, top:bot], buf[:, :, top - lo : bot - lo]
+    inner[:, k // 2] = src
+    if k == 3:
+        inner[:, 0, :, 0] = 0
+        inner[:, 0, :, 1:] = src[:, :, :-1]
+        inner[:, 2, :, -1] = 0
+        inner[:, 2, :, :-1] = src[:, :, 1:]
+
+
+def _conv2d(x, w, b, cols, pool=None, leaky=False, residual=None):
+    """x [C,H,W], w [O,C,k,k] with k in {1,3}, zero padding to 'same'.
+
+    Returns a fresh float32 [O,H,W]: the conv plus bias `b` (or none),
+    through the leaky ReLU if `leaky`, plus `residual` [O,H,W] if given.
+    Each row slab (see `_slabs`) of r rows stages its r + k - 1 input
+    rows in its region of `cols` as [C*k, columns]. One GEMM, w as
+    [k*O, C*k] (kernel row, then output channel) by that operand, gives
+    z [k, O, r + k - 1, W], and the slab's output rows are
+    z[0, :, 0:r] + z[1, :, 1:r+1] + z[2, :, 2:r+2] (z[0] for a 1x1
+    conv). A 3x3 conv with O > C runs the GEMM over blocks of C output
+    channels, so z never outgrows the staged operand, and the bias,
+    leaky ReLU (z as scratch) and residual follow block by block. `cols`
+    is flat float32 scratch of at least C * sum(k * columns) elements
+    over the slabs, reused across the layers of one forward call.
+    """
+    o, c, k, _ = w.shape
     _, hgt, wid = x.shape
-    if kh == 1:
-        y = w.reshape(o, c) @ x.reshape(c, hgt * wid)
-    else:
-        buf = cols[: c * 3 * (hgt + 2) * wid].reshape(c, 3, hgt + 2, wid)
-        buf[:, :, 0] = 0
-        buf[:, :, -1] = 0
-        # tap j at column s reads input column s + j - 1
-        buf[:, 0, 1:-1, 0] = 0
-        buf[:, 0, 1:-1, 1:] = x[:, :, :-1]
-        buf[:, 1, 1:-1] = x
-        buf[:, 2, 1:-1, -1] = 0
-        buf[:, 2, 1:-1, :-1] = x[:, :, 1:]
-        taps = buf.reshape(3 * c, -1)
-        w_rows = w.transpose(2, 0, 1, 3)  # [kernel row, O, C, kernel column]
-        y = np.empty((o, hgt, wid), dtype=np.float32)
-        # blocks of at most c output channels keep z no larger than buf
-        zbuf = np.empty((3 * min(o, c), taps.shape[1]), dtype=np.float32)
-        for o0 in range(0, o, c):
-            blk = y[o0 : o0 + c]
-            z = zbuf[: 3 * len(blk)]
-            np.matmul(w_rows[:, o0 : o0 + c].reshape(len(z), 3 * c), taps, out=z)
-            z = z.reshape(3, len(blk), hgt + 2, wid)
-            # output row r takes kernel row i from padded row r + i
-            np.add(z[0, :, :hgt], z[1, :, 1 : hgt + 1], out=blk)
-            blk += z[2, :, 2:]
-    y = y.reshape(o, hgt, wid)
-    if b is not None:
-        y += b[:, None, None]
+    y = np.empty((o, hgt, wid), dtype=np.float32)
+    step = c if k == 3 else o
+    w_rows = w.transpose(2, 0, 1, 3)  # [kernel row, O, C, kernel column]
+    blocks = [(o0, w_rows[:, o0 : o0 + step].reshape(-1, k * c)) for o0 in range(0, o, step)]
+    slabs = _slabs(hgt, wid, k, _threads(pool))
+
+    def slab(i):
+        r0, r1, offset, columns = slabs[i]
+        rows = r1 - r0
+        taps = cols[c * offset : c * (offset + k * columns)].reshape(k * c, columns)
+        _stage(x, r0 - k // 2, r1 + k // 2, taps)
+        z = np.empty((k * min(o, step), columns), dtype=np.float32)
+        for o0, w_blk in blocks:
+            zb = z[: len(w_blk)]
+            np.matmul(w_blk, taps, out=zb)
+            blk = y[o0 : o0 + len(w_blk) // k, r0:r1]
+            zb = zb[:, : (rows + k - 1) * wid].reshape(k, len(blk), rows + k - 1, wid)
+            if k == 1:
+                np.copyto(blk, zb[0])
+            else:
+                # output row r takes kernel row i from staged row r + i
+                np.add(zb[0, :, :rows], zb[1, :, 1 : rows + 1], out=blk)
+                blk += zb[2, :, 2:]
+            if b is not None:
+                blk += b[o0 : o0 + len(blk), None, None]
+            if leaky:
+                _leaky(blk, z.reshape(-1))
+            if residual is not None:
+                blk += residual[o0 : o0 + len(blk), r0:r1]
+
+    _fan_out(pool, len(slabs), slab)
     return y
 
 

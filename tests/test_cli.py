@@ -14,6 +14,7 @@ from cwsep import (
     write_store,
     write_wav,
 )
+from cwsep import pipeline
 from cwsep.cli import main
 
 from conftest import noise_waveform
@@ -226,6 +227,26 @@ class TestSeparate:
                          "--out-dir", str(tmp_path / "o"))
         assert code == 0
         assert read_wav(tmp_path / "o" / "vocals.wav").num_samples == 44100
+
+    def test_threads_default_to_one_per_cpu(self, tmp_path, capsys, monkeypatch,
+                                            fb_json_path, tiny_weights_path):
+        seen = []
+        real = pipeline.separate
+
+        def recording(x, model, fb, workers):
+            seen.append(workers)
+            return real(x, model, fb, workers)
+
+        wav = tmp_path / "mix.wav"
+        write_wav(noise_waveform(1.0, channels=2), wav, format="float32")
+        monkeypatch.delenv("CWS_THREADS", raising=False)
+        monkeypatch.setattr(pipeline, "separate", recording)
+        code, _, _ = run(capsys, "separate", "--input", str(wav),
+                         "--weights", str(tiny_weights_path),
+                         "--filters", str(fb_json_path),
+                         "--out-dir", str(tmp_path / "o"))
+        assert code == 0
+        assert seen == [0]
 
     def test_missing_weights_usage_error(self, capsys, fb_json_path):
         with pytest.raises(SystemExit) as e:

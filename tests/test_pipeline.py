@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,9 +14,41 @@ from cwsep import (
     instrumental_residual,
     separate,
 )
+from cwsep import pipeline
 from cwsep.pipeline import PipelineError
 
 from conftest import noise_waveform
+
+
+def within(timeout, fn, *args, **kwargs):
+    """fn(*args, **kwargs) on a daemon thread; fails if it runs past `timeout` seconds."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn(*args, **kwargs)
+        except BaseException as e:
+            box["error"] = e
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{fn.__name__} still running after {timeout} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+class BadSecondSegment:
+    """Returns a wrongly shaped output for the second segment it sees."""
+
+    out_sources = 1
+    calls = 0
+
+    def forward(self, mag, pool=None):
+        self.calls += 1
+        shape = mag.shape if self.calls == 1 else (1, 1, 1)
+        return IdentityModel().forward(np.zeros(shape, dtype=mag.dtype))
 
 
 class TestSeparate:
@@ -83,7 +117,7 @@ class TestSeparate:
         shapes = []
 
         class Recorder(IdentityModel):
-            def forward(self, mag):
+            def forward(self, mag, pool=None):
                 shapes.append(mag.shape)
                 return super().forward(mag)
 
@@ -97,7 +131,7 @@ class TestSeparate:
         seen = []
 
         class Recorder(IdentityModel):
-            def forward(self, mag):
+            def forward(self, mag, pool=None):
                 seen.append(mag)
                 return super().forward(mag)
 
@@ -115,13 +149,16 @@ class TestSeparate:
         assert np.array_equal(serial.samples, threaded.samples)
 
     def test_workers_do_not_change_network_result(self, fb4):
-        # segments on two threads share one Model; each forward call must
-        # keep its own im2col buffer
+        # segments on several threads share one Model and one pool, each
+        # forward call keeps its own im2col buffer and spreads its row
+        # slabs over idle threads; a deadlock fails instead of hanging
         model = init_random(build(PRESETS["tiny"]), seed=34)
-        x = noise_waveform(20.0, channels=2, seed=35)
-        serial = separate(x, model, fb4, workers=1)[0]
-        threaded = separate(x, model, fb4, workers=2)[0]
-        assert np.array_equal(serial.samples, threaded.samples)
+        for seconds, workers in ((20.0, (2,)), (25.0, (2, 3))):
+            x = noise_waveform(seconds, channels=2, seed=35)
+            serial = separate(x, model, fb4, workers=1)[0]
+            for n in workers:
+                threaded = within(120.0, separate, x, model, fb4, workers=n)[0]
+                assert np.array_equal(serial.samples, threaded.samples)
 
     def test_negative_workers_rejected_before_work(self, fb4, monkeypatch):
         def no_analysis(*args):
@@ -139,15 +176,6 @@ class TestSeparate:
         assert [e.samples.dtype for e in est] == [np.float32, np.float32]
 
     def test_failing_segment_is_named(self, fb4):
-        class BadSecondSegment:
-            out_sources = 1
-            calls = 0
-
-            def forward(self, mag):
-                self.calls += 1
-                shape = mag.shape if self.calls == 1 else (1, 1, 1)
-                return IdentityModel().forward(np.zeros(shape, dtype=mag.dtype))
-
         x = noise_waveform(15.0, channels=2, seed=32)
         with pytest.raises(PipelineError, match=r"segment 1 \(from 10 s\)"):
             separate(x, BadSecondSegment(), fb4)
@@ -156,13 +184,13 @@ class TestSeparate:
         class RaisingForward:
             out_sources = 1
 
-            def forward(self, mag):
+            def forward(self, mag, pool=None):
                 raise ValueError("weights exploded")
 
         class WrongShape:
             out_sources = 1
 
-            def forward(self, mag):
+            def forward(self, mag, pool=None):
                 return IdentityModel().forward(np.zeros((1, 1, 1), dtype=mag.dtype))
 
         x = noise_waveform(1.0, channels=2, seed=33)
@@ -176,7 +204,7 @@ class TestSeparate:
         class Miscounted:
             out_sources = sources
 
-            def forward(self, mag):
+            def forward(self, mag, pool=None):
                 return IdentityModel(returned).forward(mag)
 
         x = noise_waveform(1.0, channels=2, seed=40)
@@ -196,6 +224,46 @@ class TestSeparate:
         finally:
             tracemalloc.stop()
         assert peak <= 6.0 * x.samples.nbytes
+
+
+class TestBlasThreads:
+    def test_one_blas_thread_while_the_pool_runs(self, fb4):
+        # without numpy's OpenBLAS control only the run itself is checked
+        control = pipeline._openblas()
+        seen = []
+
+        class Recorder(IdentityModel):
+            def forward(self, mag, pool=None):
+                seen.append(control[0]() if control else None)
+                return super().forward(mag)
+
+        x = noise_waveform(15.0, channels=2, seed=42)
+        if control is None:
+            separate(x, Recorder(), fb4, workers=2)
+            return
+        get, set_ = control
+        before = get()
+        set_(2)
+        try:
+            separate(x, Recorder(), fb4, workers=2)
+            assert seen == [1, 1]
+            assert get() == 2
+            with pytest.raises(PipelineError):
+                separate(x, BadSecondSegment(), fb4, workers=2)
+            assert get() == 2
+            separate(x, Recorder(), fb4, workers=1)
+            assert seen[2:] == [2, 2]
+
+            # concurrent calls share one hold; the last one out restores
+            def two_at_once():
+                with ThreadPoolExecutor(max_workers=2) as calls:
+                    runs = [calls.submit(separate, x, IdentityModel(), fb4, 2) for _ in range(2)]
+                    return [run.result() for run in runs]
+
+            within(120.0, two_at_once)
+            assert get() == 2
+        finally:
+            set_(before)
 
 
 class TestResidual:

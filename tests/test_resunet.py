@@ -104,7 +104,9 @@ class TestForward:
 
     def test_threads_sharing_a_model_match_serial(self):
         # each forward call owns its im2col buffer; more threads than
-        # cores and a short switch interval make any sharing show
+        # cores and a short switch interval make any sharing show. In the
+        # second round the concurrent forwards also run their row slabs
+        # on the pool that runs them.
         model = init_random(build(TINY), seed=17)
         xs = [random_input(t=64, seed=s) for s in range(8)]
         serial = [model.forward(x)[0].mask_logits for x in xs]
@@ -112,10 +114,34 @@ class TestForward:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                threaded = [o[0].mask_logits for o in pool.map(model.forward, xs, timeout=120)]
+                rounds = [
+                    [o[0].mask_logits for o in pool.map(forward, xs, timeout=120)]
+                    for forward in (model.forward, lambda x: model.forward(x, pool))
+                ]
         finally:
             sys.setswitchinterval(interval)
-        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+        for threaded in rounds:
+            assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "preset, t, f", [("tiny", 16, 90), ("tiny", 3, 30), ("other-166", 24, 100), ("other-166", 3, 30)]
+    )
+    def test_row_slabs_match_unsplit_forward(self, preset, t, f, threads):
+        # widths that are not whole GEMM columns; at 3 frames each preset
+        # has a 2-row level, fewer rows than 3 slabs. conv2 weights x0.1
+        # keep the deep net finite.
+        model = init_random(build(PRESETS[preset]), seed=t)
+        for name, value in model.params.items():
+            if name.endswith("conv2.weight"):
+                value *= 0.1
+        x = random_input(t=t, f=f, seed=t + 1)
+        whole = model.forward(x)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            slabbed = model.forward(x, pool)
+        fields = ("mask_logits", "phase_real", "phase_imag", "mag_residual")
+        for a, b in zip(whole, slabbed, strict=True):
+            assert all(np.array_equal(getattr(a, n), getattr(b, n)) for n in fields)
 
     def test_wrong_channel_count_rejected(self):
         model = build(TINY)
@@ -186,11 +212,12 @@ class TestConv2d:
         w = rng.standard_normal((o, c, k, k)).astype(np.float32)
         b = rng.standard_normal(o).astype(np.float32) if bias else None
         # a reused buffer is larger than needed and holds stale values;
-        # a fresh one has exactly the 3x3 size
+        # a fresh one has exactly the size of the conv's one slab
+        size = c * sum(k * n for *_, n in resunet._slabs(hgt, wid, k, 1))
         if reuse:
-            cols = np.full(9 * c * hgt * wid + 11, np.nan, np.float32)
+            cols = np.full(size + 11, np.nan, np.float32)
         else:
-            cols = np.empty(3 * c * (hgt + 2) * wid, np.float32)
+            cols = np.empty(size, np.float32)
         got = _conv2d(x, w, b, cols)
         ref = conv_oracle(x, w, b)
         assert got.shape == (o, hgt, wid) and got.dtype == np.float32
@@ -198,21 +225,28 @@ class TestConv2d:
 
     @pytest.mark.parametrize("preset", ["tiny", "other-166", "vocals-276"])
     def test_cols_size_covers_every_3x3_layer(self, preset, monkeypatch):
+        # a slab of a 3x3 conv stages its rows plus a halo row on each
+        # side, padded to whole GEMM columns, after the earlier slabs
         cfg = PRESETS[preset]
-        needed = []
-
-        def recording(x, w, b, cols=None):
-            if w.shape[2] == 3:
-                n = 3 * x.shape[0] * (x.shape[1] + 2) * x.shape[2]
-                assert cols is not None and cols.size >= n
-                needed.append(n)
-            return _conv2d(x, w, b, cols)
-
-        monkeypatch.setattr(resunet, "_conv2d", recording)
-        build(cfg).forward(np.ones((8, 37, 45), np.float32))
         mult = 2**cfg.num_levels
         padded = (-(-37 // mult) * mult, -(-45 // mult) * mult)
-        assert max(needed) == resunet._cols_size(cfg, *padded)
+        for threads in (1, 2, 3):
+            needed = []
+
+            def recording(x, w, b, cols, pool=None, leaky=False, residual=None):
+                k = w.shape[2]
+                slabs = resunet._slabs(x.shape[1], x.shape[2], k, resunet._threads(pool))
+                assert len(slabs) == min(threads, x.shape[1])
+                n = x.shape[0] * sum(k * columns for *_, columns in slabs)
+                assert cols.size >= n
+                if k == 3:
+                    needed.append(n)
+                return _conv2d(x, w, b, cols, pool, leaky, residual)
+
+            monkeypatch.setattr(resunet, "_conv2d", recording)
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                build(cfg).forward(np.ones((8, 37, 45), np.float32), pool)
+            assert max(needed) == resunet._cols_size(cfg, *padded, threads)
 
 
 class TestWeightStore:
