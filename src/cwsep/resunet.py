@@ -29,12 +29,17 @@ column copy, GEMM, row sum, bias, leaky-ReLU and residual add, so its
 output rows are the same bits as the unsplit conv's. The calling thread
 runs slab 0 and every slab no idle pool thread has started. Each GEMM
 has a multiple of 16 columns (the pad columns are zero and their
-products unused): numpy's bundled OpenBLAS computes the last 1-8
-columns of a small GEMM with other rounding, so an unpadded slab would
-not match the unsplit conv. Each `forward` call allocates one column
-buffer (`_cols_size`) with a region per slab for its widest layer and
-reuses it for every layer; the buffer lives only in that call, so
-threads may share one Model.
+products unused): numpy's bundled OpenBLAS computes the last 1-8 columns
+of a small GEMM with other rounding, so an unpadded slab would not match
+the unsplit conv. That slabs match was checked with numpy 2.4.6's
+bundled OpenBLAS 0.3.31 on x86-64 for 1-16 slabs, including slab GEMMs
+under its small-matrix size (M*N*K <= 1e6) whose unsplit GEMM is over
+it. At K = 480 (not at K <= 448) that kernel was seen to round
+otherwise; no preset runs a GEMM that wide that small. Another BLAS may
+round a slab differently in the last bits. Each `forward` call allocates
+one column buffer (`_cols_size`) with a region per slab for its widest
+layer and reuses it for every layer; the buffer lives only in that call,
+so threads may share one Model.
 
 Inference only; parameters live in a flat name -> float32 array table
 serialized via the CWSW container format.
@@ -301,15 +306,24 @@ def _fan_out(pool, count, job):
     A job no pool thread has started by the time this thread reaches it
     runs here, so this thread never waits on a queued job: calls from
     the pool's own threads cannot deadlock, and jobs only spread when a
-    pool thread is free.
+    pool thread is free. A job run here stays in the pool's queue,
+    cancelled, until a pool thread takes it off; the queue reaches `job`
+    only through `held`, emptied on return, so it keeps none of the
+    conv's arrays alive while every pool thread is busy.
     """
-    futures = [pool.submit(job, i) for i in range(1, count)]
+    held = [job]
+    futures = [pool.submit(_run_held, held, i) for i in range(1, count)]
     job(0)
     for i, future in enumerate(futures, 1):
         if future.cancel():
             job(i)
         else:
             future.result()
+    held.clear()
+
+
+def _run_held(held, i):
+    held[0](i)
 
 
 def _leaky(x, scratch):

@@ -1,3 +1,4 @@
+import os
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -160,6 +161,19 @@ class TestSeparate:
                 threaded = within(120.0, separate, x, model, fb4, workers=n)[0]
                 assert np.array_equal(serial.samples, threaded.samples)
 
+    def test_forwards_get_the_pool_once_no_segment_waits(self, fb4):
+        # 3 segments on 2 threads: the first two start together and keep
+        # their convs whole; the third starts when one of them is done
+        seen = []
+
+        class Recorder(IdentityModel):
+            def forward(self, mag, pool=None):
+                seen.append(pool)
+                return super().forward(mag)
+
+        separate(noise_waveform(25.0, channels=2, seed=44), Recorder(), fb4, workers=2)
+        assert sorted(pool is None for pool in seen) == [False, True, True]
+
     def test_negative_workers_rejected_before_work(self, fb4, monkeypatch):
         def no_analysis(*args):
             raise AssertionError("analysis ran")
@@ -168,6 +182,20 @@ class TestSeparate:
         x = noise_waveform(1.0, channels=2, seed=36)
         with pytest.raises(PipelineError, match="workers"):
             separate(x, IdentityModel(), fb4, workers=-1)
+
+    def test_zero_workers_count_the_cpus_this_process_may_use(self, fb4, monkeypatch):
+        # under taskset or a cpuset the affinity mask, not the host's CPU count
+        seen = []
+
+        class Recorder(IdentityModel):
+            def forward(self, mag, pool=None):
+                seen.append(pool._max_workers)
+                return super().forward(mag)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        separate(noise_waveform(1.0, channels=2, seed=43), Recorder(), fb4, workers=0)
+        assert seen == [3]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_output_is_float32(self, fb4, dtype):

@@ -1,6 +1,8 @@
 import json
 import struct
 import sys
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -123,6 +125,25 @@ class TestForward:
         for threaded in rounds:
             assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
+    def test_slabs_run_here_leave_nothing_alive_in_a_busy_pool(self):
+        # the pool's one thread is busy, so every slab runs on the caller
+        # and its cancelled job waits in the pool's queue; that job must
+        # not keep the conv's arrays alive
+        class Arrays:
+            pass
+
+        arrays, ran = Arrays(), []
+        alive = weakref.ref(arrays)
+        release = threading.Event()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(release.wait, 60)
+            resunet._fan_out(pool, 3, lambda i, arrays=arrays: ran.append(i))
+            del arrays
+            held = alive() is not None
+            release.set()
+        assert ran == [0, 1, 2]
+        assert not held
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize(
         "preset, t, f", [("tiny", 16, 90), ("tiny", 3, 30), ("other-166", 24, 100), ("other-166", 3, 30)]
@@ -222,6 +243,45 @@ class TestConv2d:
         ref = conv_oracle(x, w, b)
         assert got.shape == (o, hgt, wid) and got.dtype == np.float32
         assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("threads", [8, 16])
+    def test_many_slabs_match_unsplit_across_the_small_gemm_size(self, threads):
+        # vocals-276 convs at its two deepest levels for a 10 s segment
+        # ([1003, 257] frames x bins, padded to [1024, 288]). OpenBLAS
+        # computes a GEMM with M*N*K <= 1e6 with its small-matrix kernel;
+        # some of these convs run their unsplit GEMM above that size and
+        # their slab GEMMs below it. dec4.block0.conv1 has K = 480.
+        layers = [  # c, o, k, rows, columns
+            (48, 64, 1, 128, 36),  # enc3.block0.shortcut
+            (48, 64, 3, 128, 36),  # enc3.block0.conv1
+            (80, 64, 3, 128, 36),  # dec3.upsample
+            (128, 64, 3, 128, 36),  # dec3.block0.conv1
+            (64, 80, 1, 64, 18),  # enc4.block0.shortcut
+            (64, 80, 3, 64, 18),  # enc4.block0.conv1
+            (80, 80, 3, 64, 18),  # enc4.block1.conv2
+            (160, 80, 1, 64, 18),  # dec4.block0.shortcut
+            (160, 80, 3, 64, 18),  # dec4.block0.conv1
+        ]
+        crossed = False
+        rng = np.random.default_rng(threads)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for c, o, k, hgt, wid in layers:
+                x = rng.standard_normal((c, hgt, wid)).astype(np.float32)
+                w = (rng.standard_normal((o, c, k, k)) / (3 * c)).astype(np.float32)
+                b = rng.standard_normal(o).astype(np.float32)
+                res = rng.standard_normal((o, hgt, wid)).astype(np.float32)
+                slabs = resunet._slabs(hgt, wid, k, threads)
+                # the GEMM of each block of output channels is [k*rows, k*c] @ [k*c, columns]
+                rows = [k * (o - o0 if k == 1 else min(c, o - o0)) for o0 in range(0, o, c if k == 3 else o)]
+                whole = resunet._slabs(hgt, wid, k, 1)[0][3]
+                crossed |= any(
+                    m * k * c * whole > 1e6 and m * k * c * n <= 1e6
+                    for m in rows for *_, n in slabs
+                )
+                cols = np.empty(c * sum(k * n for *_, n in slabs), np.float32)
+                unsplit = _conv2d(x, w, b, cols, None, True, res)
+                assert np.array_equal(_conv2d(x, w, b, cols, pool, True, res), unsplit)
+        assert crossed
 
     @pytest.mark.parametrize("preset", ["tiny", "other-166", "vocals-276"])
     def test_cols_size_covers_every_3x3_layer(self, preset, monkeypatch):
