@@ -12,34 +12,42 @@ Layer counting rule: every convolution counts, including 1x1 shortcuts,
 upsample convs, and the head. The bundled presets hit 276 and 166 conv
 layers under this rule.
 
-Convolutions are GEMMs. A 3x3 conv is "row-tap": it copies only the
-three column shifts of its input into a channel-first buffer
-[C, 3, H+2, W] with zero pad rows top and bottom and zero edge columns,
-multiplies all three kernel rows at once, [3*O, 3*C] @ [3*C, (H+2)*W]
-(in blocks of C output channels when O > C), and sums the three
-row-shifted [O, H, W] slices of the [3, O, H+2, W] product. A 1x1 conv
-(a residual shortcut) is the same with one tap and no row shift. Bias,
-leaky-ReLU and the residual add then work in place on each block of
-the conv's fresh output.
+Convolutions are GEMMs over row tiles. A 3x3 conv is "row-tap": for a
+tile of r output rows it copies only the three column shifts of its
+r + 2 input rows (one halo row on each side, zero outside the input)
+into a channel-first operand [C, 3, r+2, W] with zero edge columns,
+multiplies all three kernel rows at once, [3*O, 3*C] @ [3*C, (r+2)*W],
+and sums the three row-shifted [O, r, W] slices of the [3, O, r+2, W]
+product. A 1x1 conv (a residual shortcut) is the same with one tap and
+no row shift. Bias, leaky-ReLU and the residual add then work in place
+on the tile's output rows, and only then is the next tile staged, so
+every pass over a tile finds it in cache.
 
-Every conv is cut into row slabs: `min(threads, H)` slabs, where
+Every conv is cut into row slabs, `min(threads, H)` of them, where
 `threads` is the size of the pool passed to `forward` (one slab without
-a pool). A 3x3 slab reads one halo row on each side and does its own
-column copy, GEMM, row sum, bias, leaky-ReLU and residual add, so its
-output rows are the same bits as the unsplit conv's. The calling thread
-runs slab 0 and every slab no idle pool thread has started. Each GEMM
-has a multiple of 16 columns (the pad columns are zero and their
-products unused): numpy's bundled OpenBLAS computes the last 1-8 columns
-of a small GEMM with other rounding, so an unpadded slab would not match
-the unsplit conv. That slabs match was checked with numpy 2.4.6's
-bundled OpenBLAS 0.3.31 on x86-64 for 1-16 slabs, including slab GEMMs
-under its small-matrix size (M*N*K <= 1e6) whose unsplit GEMM is over
-it. At K = 480 (not at K <= 448) that kernel was seen to round
-otherwise; no preset runs a GEMM that wide that small. Another BLAS may
-round a slab differently in the last bits. Each `forward` call allocates
-one column buffer (`_cols_size`) with a region per slab for its widest
-layer and reuses it for every layer; the buffer lives only in that call,
-so threads may share one Model.
+a pool), and each slab into the fewest near-equal tiles whose staged
+operand fits TILE_BYTES. The calling thread runs slab 0 and every slab
+no idle pool thread has started. Each slab allocates one tile-sized
+operand and product per conv; a forward keeps no buffer across layers,
+so threads may share one Model. TILE_BYTES is 2 MiB, the L2 cache of
+one core of the 2-core Xeon VM it was measured on. There, alternating
+`vocals-276` forwards on a 10 s segment at two threads (numpy 2.4.6,
+OpenBLAS 0.3.31 at one thread) took a median 3.32 s at 2 MiB, the
+fastest or tied in three sweeps; 3.76 s at 1 MiB, 3.54 s at 4 and
+8 MiB, 4.77 s at 0.5 MiB, where halo rows and per-tile calls add up,
+and 4.38 s with one tile per slab.
+
+Each GEMM has a multiple of 16 columns (the pad columns are zero and
+their products unused): numpy's bundled OpenBLAS computes the last 1-8
+columns of a small GEMM with other rounding, so an unpadded tile would
+not match a wider one. Output rows are thus the same bits however the
+conv is cut into slabs and tiles. That was checked with numpy 2.4.6's
+bundled OpenBLAS 0.3.31 on x86-64 for 1-16 slabs and for tiles of one
+row up, including tile GEMMs under its small-matrix size
+(M*N*K <= 1e6) whose one-tile GEMM is over it. At K = 480 (not at
+K <= 448) that kernel was seen to round otherwise; no preset runs a
+GEMM that wide that small. Another BLAS may round a tile differently
+in the last bits.
 
 Inference only; parameters live in a flat name -> float32 array table
 serialized via the CWSW container format.
@@ -213,23 +221,20 @@ class Model:
         pad_t = (-t0) % mult
         pad_f = (-f0) % mult
         h = np.pad(mag, ((0, 0), (0, pad_t), (0, pad_f)))
-        # one column buffer per call, not per model: threads share a model
-        size = _cols_size(cfg, h.shape[1], h.shape[2], _threads(pool))
-        cols = np.empty(size, dtype=np.float32)
 
         skips = []
         for lvl in range(cfg.num_levels):
             for b in range(cfg.blocks_per_level[lvl]):
-                h = self._block(h, f"enc{lvl}.block{b}", cols, pool)
+                h = self._block(h, f"enc{lvl}.block{b}", pool)
             skips.append(h)
             h = _avgpool2(h)
         for lvl in reversed(range(cfg.num_levels)):
             h = _upsample2(h)
-            h = self._conv(h, f"dec{lvl}.upsample", cols, pool, leaky=True)
+            h = self._conv(h, f"dec{lvl}.upsample", pool, leaky=True)
             h = np.concatenate([h, skips[lvl]], axis=0)
             for b in range(cfg.blocks_per_level[lvl]):
-                h = self._block(h, f"dec{lvl}.block{b}", cols, pool)
-        out = self._conv(h, "head", cols, pool)[:, :t0, :f0]
+                h = self._block(h, f"dec{lvl}.block{b}", pool)
+        out = self._conv(h, "head", pool)[:, :t0, :f0]
 
         per_source = np.split(out, cfg.out_sources, axis=0)
         results = []
@@ -240,17 +245,17 @@ class Model:
             )
         return results
 
-    def _conv(self, x, prefix, cols, pool, leaky=False, residual=None):
+    def _conv(self, x, prefix, pool, leaky=False, residual=None):
         w = self.params[f"{prefix}.weight"]
         b = self.params.get(f"{prefix}.bias")
-        return _conv2d(x, w, b, cols, pool, leaky, residual)
+        return _conv2d(x, w, b, pool, leaky, residual)
 
-    def _block(self, x, prefix, cols, pool=None):
-        y = self._conv(x, f"{prefix}.conv1", cols, pool, leaky=True)
+    def _block(self, x, prefix, pool=None):
+        y = self._conv(x, f"{prefix}.conv1", pool, leaky=True)
         shortcut = f"{prefix}.shortcut"
         if f"{shortcut}.weight" in self.params:
-            x = self._conv(x, shortcut, cols, pool)
-        return self._conv(y, f"{prefix}.conv2", cols, pool, residual=x)
+            x = self._conv(x, shortcut, pool)
+        return self._conv(y, f"{prefix}.conv2", pool, residual=x)
 
 
 # GEMM column counts are padded to a multiple of this, so that a column's
@@ -258,46 +263,38 @@ class Model:
 # module docstring)
 GEMM_COLUMNS = 16
 
+# Bytes of one row tile's staged GEMM operand (see the module docstring)
+TILE_BYTES = 2 << 20
+
 
 def _threads(pool):
     """Slabs per conv: 1, or the thread count a ThreadPoolExecutor keeps in `_max_workers`."""
     return 1 if pool is None else pool._max_workers
 
 
-def _slabs(hgt, wid, taps, threads):
-    """(first row, end row, offset, columns) of each row slab of one conv.
+def _split(lo, hi, n):
+    """Rows lo..hi-1 as n near-equal (first row, end row) ranges."""
+    return [(lo + i * (hi - lo) // n, lo + (i + 1) * (hi - lo) // n) for i in range(n)]
+
+
+def _tiles(hgt, wid, k, c, threads):
+    """(first row, end row, columns) of each row tile, one list per row slab of a conv.
 
     `min(threads, hgt)` slabs (one if hgt is 0) of near-equal row
-    counts. A slab of r rows stages r + taps - 1 input rows as a
-    [C * taps, columns] GEMM operand, `columns` being (r + taps - 1) * wid
-    padded to whole GEMM_COLUMNS; it lives at
-    [C * offset, C * (offset + taps * columns)) of the column buffer.
+    counts, each cut into the fewest near-equal tiles whose staged
+    operand fits TILE_BYTES (one row at least). A tile of r rows of a
+    k x k conv over c channels stages r + k - 1 input rows as a
+    [c * k, columns] float32 operand, `columns` being (r + k - 1) * wid
+    padded to whole GEMM_COLUMNS.
     """
-    n = max(min(threads, hgt), 1)
-    slabs, offset = [], 0
-    for i in range(n):
-        r0, r1 = i * hgt // n, (i + 1) * hgt // n
-        columns = -(-(r1 - r0 + taps - 1) * wid // GEMM_COLUMNS) * GEMM_COLUMNS
-        slabs.append((r0, r1, offset, columns))
-        offset += taps * columns
-    return slabs
-
-
-def _cols_size(config, hgt, wid, threads=1):
-    """Elements of the column buffer of one forward pass with `threads` slabs per conv.
-
-    At level l (H and W halved l times) the 3x3 convs read the previous
-    level's channels (enc block 0), 2x this level's (dec block 0, skip
-    concatenated) and the next level's (upsample conv). A 1x1 shortcut
-    reads no more channels than its block's first 3x3 conv and stages
-    fewer columns.
-    """
-    chans = (config.in_channels,) + config.channels_per_level + (0,)
-    return max(
-        max(chans[lvl], 2 * chans[lvl + 1], chans[lvl + 2])
-        * sum(3 * n for *_, n in _slabs(hgt >> lvl, wid >> lvl, 3, threads))
-        for lvl in range(config.num_levels)
-    )
+    fit = max(TILE_BYTES // (4 * k * c * wid) - (k - 1), 1)
+    return [
+        [
+            (t0, t1, -(-(t1 - t0 + k - 1) * wid // GEMM_COLUMNS) * GEMM_COLUMNS)
+            for t0, t1 in _split(r0, r1, max(-(-(r1 - r0) // fit), 1))
+        ]
+        for r0, r1 in _split(0, hgt, max(min(threads, hgt), 1))
+    ]
 
 
 def _fan_out(pool, count, job):
@@ -360,53 +357,49 @@ def _stage(x, lo, hi, taps):
         inner[:, 2, :, :-1] = src[:, :, 1:]
 
 
-def _conv2d(x, w, b, cols, pool=None, leaky=False, residual=None):
+def _conv2d(x, w, b, pool=None, leaky=False, residual=None):
     """x [C,H,W], w [O,C,k,k] with k in {1,3}, zero padding to 'same'.
 
     Returns a fresh float32 [O,H,W]: the conv plus bias `b` (or none),
     through the leaky ReLU if `leaky`, plus `residual` [O,H,W] if given.
-    Each row slab (see `_slabs`) of r rows stages its r + k - 1 input
-    rows in its region of `cols` as [C*k, columns]. One GEMM, w as
+    Each row slab walks its row tiles (see `_tiles`). A tile of r rows
+    stages its r + k - 1 input rows as [C*k, columns]; one GEMM, w as
     [k*O, C*k] (kernel row, then output channel) by that operand, gives
-    z [k, O, r + k - 1, W], and the slab's output rows are
+    z [k, O, r + k - 1, W], and the tile's output rows are
     z[0, :, 0:r] + z[1, :, 1:r+1] + z[2, :, 2:r+2] (z[0] for a 1x1
-    conv). A 3x3 conv with O > C runs the GEMM over blocks of C output
-    channels, so z never outgrows the staged operand, and the bias,
-    leaky ReLU (z as scratch) and residual follow block by block. `cols`
-    is flat float32 scratch of at least C * sum(k * columns) elements
-    over the slabs, reused across the layers of one forward call.
+    conv). Bias, leaky ReLU (z as scratch) and residual follow before
+    the next tile is staged. Each slab allocates one operand and one
+    GEMM output, sized for its widest tile.
     """
     o, c, k, _ = w.shape
     _, hgt, wid = x.shape
     y = np.empty((o, hgt, wid), dtype=np.float32)
-    step = c if k == 3 else o
-    w_rows = w.transpose(2, 0, 1, 3)  # [kernel row, O, C, kernel column]
-    blocks = [(o0, w_rows[:, o0 : o0 + step].reshape(-1, k * c)) for o0 in range(0, o, step)]
-    slabs = _slabs(hgt, wid, k, _threads(pool))
+    w_rows = w.transpose(2, 0, 1, 3).reshape(k * o, k * c)  # [kernel row, O] x [C, kernel column]
+    slabs = _tiles(hgt, wid, k, c, _threads(pool))
 
     def slab(i):
-        r0, r1, offset, columns = slabs[i]
-        rows = r1 - r0
-        taps = cols[c * offset : c * (offset + k * columns)].reshape(k * c, columns)
-        _stage(x, r0 - k // 2, r1 + k // 2, taps)
-        z = np.empty((k * min(o, step), columns), dtype=np.float32)
-        for o0, w_blk in blocks:
-            zb = z[: len(w_blk)]
-            np.matmul(w_blk, taps, out=zb)
-            blk = y[o0 : o0 + len(w_blk) // k, r0:r1]
-            zb = zb[:, : (rows + k - 1) * wid].reshape(k, len(blk), rows + k - 1, wid)
+        widest = max(n for *_, n in slabs[i])
+        staged = np.empty(k * c * widest, dtype=np.float32)
+        product = np.empty(k * o * widest, dtype=np.float32)
+        for t0, t1, n in slabs[i]:
+            rows = t1 - t0
+            taps = staged[: k * c * n].reshape(k * c, n)
+            _stage(x, t0 - k // 2, t1 + k // 2, taps)
+            z = np.matmul(w_rows, taps, out=product[: k * o * n].reshape(k * o, n))
+            z = z[:, : (rows + k - 1) * wid].reshape(k, o, rows + k - 1, wid)
+            out = y[:, t0:t1]
             if k == 1:
-                np.copyto(blk, zb[0])
+                np.copyto(out, z[0])
             else:
                 # output row r takes kernel row i from staged row r + i
-                np.add(zb[0, :, :rows], zb[1, :, 1 : rows + 1], out=blk)
-                blk += zb[2, :, 2:]
+                np.add(z[0, :, :rows], z[1, :, 1 : rows + 1], out=out)
+                out += z[2, :, 2:]
             if b is not None:
-                blk += b[o0 : o0 + len(blk), None, None]
+                out += b[:, None, None]
             if leaky:
-                _leaky(blk, z.reshape(-1))
+                _leaky(out, product)
             if residual is not None:
-                blk += residual[o0 : o0 + len(blk), r0:r1]
+                out += residual[:, t0:t1]
 
     _fan_out(pool, len(slabs), slab)
     return y

@@ -180,13 +180,12 @@ def test_criterion_6_resunet_structure():
     assert np.array_equal(a.mask_logits, b.mask_logits)
     assert np.array_equal(a.phase_real, b.phase_real)
     # identity-at-init residual block
-    from cwsep.resunet import ModelConfig, _cols_size
+    from cwsep.resunet import ModelConfig
 
     eq_cfg = ModelConfig(in_channels=4, blocks_per_level=(1,), channels_per_level=(4,))
     eq = build(eq_cfg)
     blk_in = rng.standard_normal((4, 8, 8)).astype(np.float32)
-    cols = np.empty(_cols_size(eq_cfg, 8, 8), np.float32)
-    assert np.array_equal(eq._block(blk_in, "enc0.block0", cols), blk_in)
+    assert np.array_equal(eq._block(blk_in, "enc0.block0"), blk_in)
     report(6, "layer counts 276/166, shape preservation, bit-exact determinism, "
               "identity-at-init all hold")
 

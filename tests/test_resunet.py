@@ -2,6 +2,7 @@ import json
 import struct
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -199,8 +200,7 @@ class TestForward:
         cfg = ModelConfig(in_channels=4, blocks_per_level=(1,), channels_per_level=(4,))
         model = build(cfg)
         x = np.random.default_rng(11).standard_normal((4, 8, 8)).astype(np.float32)
-        cols = np.empty(resunet._cols_size(cfg, 8, 8), np.float32)
-        assert np.array_equal(model._block(x, "enc0.block0", cols), x)
+        assert np.array_equal(model._block(x, "enc0.block0"), x)
 
 
 def conv_oracle(x, w, b):
@@ -226,20 +226,17 @@ class TestConv2d:
     @pytest.mark.parametrize("c, o", [(3, 5), (4, 2)])
     @pytest.mark.parametrize("hgt, wid", [(1, 1), (1, 7), (5, 1), (3, 5), (7, 6), (2, 3)])
     @pytest.mark.parametrize("bias", [False, True])
-    @pytest.mark.parametrize("reuse", [False, True])
-    def test_matches_oracle(self, k, c, o, hgt, wid, bias, reuse):
+    @pytest.mark.parametrize("row_tiles", [False, True])
+    def test_matches_oracle(self, k, c, o, hgt, wid, bias, row_tiles, monkeypatch):
         rng = np.random.default_rng(hgt * 100 + wid * 10 + c)
         x = rng.standard_normal((c, hgt, wid)).astype(np.float32)
         w = rng.standard_normal((o, c, k, k)).astype(np.float32)
         b = rng.standard_normal(o).astype(np.float32) if bias else None
-        # a reused buffer is larger than needed and holds stale values;
-        # a fresh one has exactly the size of the conv's one slab
-        size = c * sum(k * n for *_, n in resunet._slabs(hgt, wid, k, 1))
-        if reuse:
-            cols = np.full(size + 11, np.nan, np.float32)
-        else:
-            cols = np.empty(size, np.float32)
-        got = _conv2d(x, w, b, cols)
+        # one-row tiles restage the operand over the previous tile's
+        # values; otherwise the conv is one tile
+        if row_tiles:
+            monkeypatch.setattr(resunet, "TILE_BYTES", 1)
+        got = _conv2d(x, w, b)
         ref = conv_oracle(x, w, b)
         assert got.shape == (o, hgt, wid) and got.dtype == np.float32
         assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
@@ -249,7 +246,7 @@ class TestConv2d:
         # vocals-276 convs at its two deepest levels for a 10 s segment
         # ([1003, 257] frames x bins, padded to [1024, 288]). OpenBLAS
         # computes a GEMM with M*N*K <= 1e6 with its small-matrix kernel;
-        # some of these convs run their unsplit GEMM above that size and
+        # some of these convs run their unsplit GEMMs above that size and
         # their slab GEMMs below it. dec4.block0.conv1 has K = 480.
         layers = [  # c, o, k, rows, columns
             (48, 64, 1, 128, 36),  # enc3.block0.shortcut
@@ -270,43 +267,62 @@ class TestConv2d:
                 w = (rng.standard_normal((o, c, k, k)) / (3 * c)).astype(np.float32)
                 b = rng.standard_normal(o).astype(np.float32)
                 res = rng.standard_normal((o, hgt, wid)).astype(np.float32)
-                slabs = resunet._slabs(hgt, wid, k, threads)
-                # the GEMM of each block of output channels is [k*rows, k*c] @ [k*c, columns]
-                rows = [k * (o - o0 if k == 1 else min(c, o - o0)) for o0 in range(0, o, c if k == 3 else o)]
-                whole = resunet._slabs(hgt, wid, k, 1)[0][3]
-                crossed |= any(
-                    m * k * c * whole > 1e6 and m * k * c * n <= 1e6
-                    for m in rows for *_, n in slabs
-                )
-                cols = np.empty(c * sum(k * n for *_, n in slabs), np.float32)
-                unsplit = _conv2d(x, w, b, cols, None, True, res)
-                assert np.array_equal(_conv2d(x, w, b, cols, pool, True, res), unsplit)
+                # a tile's GEMM is [k*o, k*c] @ [k*c, columns]
+                size = {
+                    n_slabs: [
+                        k * o * k * c * n
+                        for tiles in resunet._tiles(hgt, wid, k, c, n_slabs)
+                        for *_, n in tiles
+                    ]
+                    for n_slabs in (1, threads)
+                }
+                crossed |= min(size[1]) > 1e6 and min(size[threads]) <= 1e6
+                unsplit = _conv2d(x, w, b, None, True, res)
+                assert np.array_equal(_conv2d(x, w, b, pool, True, res), unsplit)
         assert crossed
 
-    @pytest.mark.parametrize("preset", ["tiny", "other-166", "vocals-276"])
-    def test_cols_size_covers_every_3x3_layer(self, preset, monkeypatch):
-        # a slab of a 3x3 conv stages its rows plus a halo row on each
-        # side, padded to whole GEMM columns, after the earlier slabs
-        cfg = PRESETS[preset]
-        mult = 2**cfg.num_levels
-        padded = (-(-37 // mult) * mult, -(-45 // mult) * mult)
-        for threads in (1, 2, 3):
-            needed = []
+    @pytest.mark.parametrize("slabs", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "c, o, hgt, wid",
+        [
+            (8, 16, 45, 288),  # enc0.block0.conv1: one-row tile GEMMs under 1e6
+            (160, 80, 64, 18),  # dec4.block0.conv1: K = 480
+        ],
+    )
+    def test_row_tiles_match_one_tile(self, c, o, hgt, wid, slabs, monkeypatch):
+        # tiles of one row and of at most 7 rows, so that tile edges and
+        # slab edges fall apart, against one tile of the whole conv
+        rng = np.random.default_rng(c)
+        x = rng.standard_normal((c, hgt, wid)).astype(np.float32)
+        w = (rng.standard_normal((o, c, 3, 3)) / (3 * c)).astype(np.float32)
+        b = rng.standard_normal(o).astype(np.float32)
+        res = rng.standard_normal((o, hgt, wid)).astype(np.float32)
+        monkeypatch.setattr(resunet, "TILE_BYTES", 4 * 3 * c * (hgt + 2) * wid)
+        assert len(resunet._tiles(hgt, wid, 3, c, 1)[0]) == 1
+        whole = _conv2d(x, w, b, None, True, res)
+        with ThreadPoolExecutor(max_workers=slabs) as pool:
+            for rows in (1, 7):
+                monkeypatch.setattr(resunet, "TILE_BYTES", 4 * 3 * c * (rows + 2) * wid)
+                tiles = resunet._tiles(hgt, wid, 3, c, slabs)
+                assert max(t1 - t0 for s in tiles for t0, t1, _ in s) <= rows
+                assert np.array_equal(_conv2d(x, w, b, pool, True, res), whole)
 
-            def recording(x, w, b, cols, pool=None, leaky=False, residual=None):
-                k = w.shape[2]
-                slabs = resunet._slabs(x.shape[1], x.shape[2], k, resunet._threads(pool))
-                assert len(slabs) == min(threads, x.shape[1])
-                n = x.shape[0] * sum(k * columns for *_, columns in slabs)
-                assert cols.size >= n
-                if k == 3:
-                    needed.append(n)
-                return _conv2d(x, w, b, cols, pool, leaky, residual)
-
-            monkeypatch.setattr(resunet, "_conv2d", recording)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                build(cfg).forward(np.ones((8, 37, 45), np.float32), pool)
-            assert max(needed) == resunet._cols_size(cfg, *padded, threads)
+    def test_memory_stays_within_the_output_and_a_few_tiles(self):
+        # dec0.block0.conv1 of vocals-276 on a 10 s segment, on 2 slabs:
+        # one whole-layer operand and GEMM output would be 170 MB
+        c, o, hgt, wid, slabs = 32, 16, 1024, 288, 2
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((c, hgt, wid)).astype(np.float32)
+        w = (rng.standard_normal((o, c, 3, 3)) / (3 * c)).astype(np.float32)
+        b = rng.standard_normal(o).astype(np.float32)
+        with ThreadPoolExecutor(max_workers=slabs) as pool:
+            tracemalloc.start()
+            try:
+                y = _conv2d(x, w, b, pool, True)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < y.nbytes + 3 * slabs * resunet.TILE_BYTES
 
 
 class TestWeightStore:
