@@ -106,7 +106,7 @@ class TestForward:
         assert np.array_equal(a.mag_residual, b.mag_residual)
 
     def test_threads_sharing_a_model_match_serial(self):
-        # each forward call owns its im2col buffer; more threads than
+        # each conv slab owns its tile buffers; more threads than
         # cores and a short switch interval make any sharing show. In the
         # second round the concurrent forwards also run their row slabs
         # on the pool that runs them.
