@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -100,10 +99,6 @@ def cmd_separate(args) -> int:
         raise UsageError(f"--sources names a source more than once: {args.sources!r}")
     if args.residual_instrumental and "vocals" not in sources:
         raise UsageError("--residual-instrumental requires 'vocals' among --sources")
-    # CWS_THREADS: worker threads of separate, 0 (the default) = one per CPU
-    threads = os.environ.get("CWS_THREADS", "0").strip()
-    if not threads.isdecimal():
-        raise UsageError(f"CWS_THREADS must be a whole number >= 0, got {threads!r}")
 
     try:
         mixture = read_wav(args.input)
@@ -129,7 +124,7 @@ def cmd_separate(args) -> int:
             f"but the {fb.num_bands}-band bank gives {2 * fb.num_bands} (2 channels x bands)"
         )
 
-    estimates = pipeline.separate(mixture, model, fb, workers=int(threads))
+    estimates = pipeline.separate(mixture, model, fb)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,14 +6,11 @@ the network stage only (STFT -> network -> complex-mask reconstruction
 -> iSTFT), each segment writes its columns of one float32 [sources,
 channels * bands, length] estimate array, and each source is
 synthesised once from it and cut at the filterbank delay. Segments run
-independently on a thread pool of `workers` threads (the CLI reads it
-from CWS_THREADS), so the output does not depend on the number of
-workers; the filterbank never sees a segment boundary. A forward pass
-that starts once every segment has taken a thread gets the same pool
-and spreads its convs over the threads no segment is using (a single
-segment, or the last ones of a track); earlier ones get no pool. While
-the pool has more than one thread, numpy's bundled OpenBLAS is held at
-one thread, so the pool's threads are the only ones.
+independently on a thread pool of `workers` threads, so the output does
+not depend on the number of workers; the filterbank never sees a
+segment boundary. Every forward pass gets the same pool and spreads its
+convs over the threads no segment is using. numpy's bundled OpenBLAS is
+held at one thread meanwhile, so the pool's threads are the only ones.
 
 A model has `out_sources` and `forward(mag, pool=None)`, which maps a
 float32 magnitude [channels * bands, frames, spectral.BINS] to a
@@ -118,18 +115,17 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
+def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
     """Separate a 44.1 kHz mixture; returns one stereo float32 Waveform per source.
 
     Mono inputs are duplicated to stereo here. `workers` threads run the
     network stage of the segments and the per-source synthesis (0 = one
     per CPU this process may run on, negative raises PipelineError
-    before any work); with more than one, numpy's OpenBLAS is held at
-    one thread meanwhile. Output order and values are independent of
-    scheduling. A failing segment raises PipelineError naming its index,
-    start time and stage (stft, forward, cirm or istft); a forward pass
-    that returns other than `model.out_sources` outputs fails in its
-    forward stage.
+    before any work); numpy's OpenBLAS is held at one thread meanwhile.
+    Output order and values are independent of scheduling. A failing
+    segment raises PipelineError naming its index, start time and stage
+    (stft, forward, cirm or istft); a forward pass that returns other
+    than `model.out_sources` outputs fails in its forward stage.
     """
     if workers < 0:
         raise PipelineError(f"workers must be >= 0 (0 = one per CPU), got {workers}")
@@ -156,18 +152,13 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
     bounds = [k * step for k in range(count)] + [streams.shape[1]]
     estimates = np.empty((model.out_sources, *streams.shape), dtype=np.float32)
 
-    # segments that have taken a thread; while one still waits, every
-    # thread has a segment to run and a forward keeps each conv whole
-    started = []
-
     def network(k):
-        started.append(k)
         stage = "stft"
         try:
             lo, hi = bounds[k], bounds[k + 1]
             mix = spectral.to_magphase(spectral.stft_streams(streams[:, lo:hi]))
             stage = "forward"
-            outs = model.forward(mix.magnitude, pool if len(started) == count else None)
+            outs = model.forward(mix.magnitude, pool)
             if len(outs) != model.out_sources:
                 raise ValueError(f"{len(outs)} outputs for out_sources = {model.out_sources}")
             for est, out in zip(estimates, outs):
@@ -186,8 +177,7 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 1):
         return Waveform(y[:, fb.system_delay : fb.system_delay + n], PIPELINE_RATE)
 
     threads = workers or _usable_cpus()
-    pin = _ONE_BLAS_THREAD.hold() if threads > 1 else contextlib.nullcontext()
-    with pin, ThreadPoolExecutor(max_workers=threads) as pool:
+    with _ONE_BLAS_THREAD.hold(), ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(network, range(count)))
         return list(pool.map(synthesize, estimates))
 

@@ -212,9 +212,9 @@ class Model:
         """
         cfg = self.config
         mag = np.asarray(mag, dtype=np.float32)
-        if mag.ndim != 3 or mag.shape[0] != cfg.in_channels:
+        if mag.ndim != 3 or mag.shape[0] != cfg.in_channels or mag.shape[2] == 0:
             raise ValueError(
-                f"expected input [{cfg.in_channels}, T, F], got shape {mag.shape}"
+                f"expected input [{cfg.in_channels}, T, F > 0], got shape {mag.shape}"
             )
         _, t0, f0 = mag.shape
         mult = 2**cfg.num_levels

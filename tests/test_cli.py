@@ -202,44 +202,17 @@ class TestSeparate:
         snr = 10 * np.log10(np.sum(s**2) / max(np.sum(e**2), 1e-300))
         assert snr >= 55.0
 
-    @pytest.mark.parametrize("threads", ["abc", "-1"])
-    def test_bad_thread_count_usage_error(self, tmp_path, capsys, monkeypatch, fb_json_path,
-                                          tiny_weights_path, threads):
-        wav = tmp_path / "mix.wav"
-        write_wav(noise_waveform(1.0, channels=2), wav, format="float32")
-        monkeypatch.setenv("CWS_THREADS", threads)
-        code, _, err = run(capsys, "separate", "--input", str(wav),
-                           "--weights", str(tiny_weights_path),
-                           "--filters", str(fb_json_path),
-                           "--out-dir", str(tmp_path / "o"))
-        assert code == 2
-        assert "CWS_THREADS" in err
-        assert not (tmp_path / "o").exists()
-
-    def test_zero_threads_means_one_per_cpu(self, tmp_path, capsys, monkeypatch,
-                                            fb_json_path, tiny_weights_path):
-        wav = tmp_path / "mix.wav"
-        write_wav(noise_waveform(1.0, channels=2), wav, format="float32")
-        monkeypatch.setenv("CWS_THREADS", "0")
-        code, _, _ = run(capsys, "separate", "--input", str(wav),
-                         "--weights", str(tiny_weights_path),
-                         "--filters", str(fb_json_path),
-                         "--out-dir", str(tmp_path / "o"))
-        assert code == 0
-        assert read_wav(tmp_path / "o" / "vocals.wav").num_samples == 44100
-
     def test_threads_default_to_one_per_cpu(self, tmp_path, capsys, monkeypatch,
                                             fb_json_path, tiny_weights_path):
         seen = []
         real = pipeline.separate
 
-        def recording(x, model, fb, workers):
+        def recording(x, model, fb, workers=0):
             seen.append(workers)
             return real(x, model, fb, workers)
 
         wav = tmp_path / "mix.wav"
         write_wav(noise_waveform(1.0, channels=2), wav, format="float32")
-        monkeypatch.delenv("CWS_THREADS", raising=False)
         monkeypatch.setattr(pipeline, "separate", recording)
         code, _, _ = run(capsys, "separate", "--input", str(wav),
                          "--weights", str(tiny_weights_path),

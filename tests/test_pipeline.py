@@ -151,8 +151,8 @@ class TestSeparate:
 
     def test_workers_do_not_change_network_result(self, fb4):
         # segments on several threads share one Model and one pool, each
-        # forward call keeps its own im2col buffer and spreads its row
-        # slabs over idle threads; a deadlock fails instead of hanging
+        # forward call spreads its row slabs over idle threads; a
+        # deadlock fails instead of hanging
         model = init_random(build(PRESETS["tiny"]), seed=34)
         for seconds, workers in ((20.0, (2,)), (25.0, (2, 3))):
             x = noise_waveform(seconds, channels=2, seed=35)
@@ -161,9 +161,9 @@ class TestSeparate:
                 threaded = within(120.0, separate, x, model, fb4, workers=n)[0]
                 assert np.array_equal(serial.samples, threaded.samples)
 
-    def test_forwards_get_the_pool_once_no_segment_waits(self, fb4):
-        # 3 segments on 2 threads: the first two start together and keep
-        # their convs whole; the third starts when one of them is done
+    def test_every_forward_gets_the_segment_pool(self, fb4):
+        # 3 segments on 2 threads: a busy pool leaves a forward's slabs
+        # to its own thread, so every forward may get the pool
         seen = []
 
         class Recorder(IdentityModel):
@@ -172,7 +172,9 @@ class TestSeparate:
                 return super().forward(mag)
 
         separate(noise_waveform(25.0, channels=2, seed=44), Recorder(), fb4, workers=2)
-        assert sorted(pool is None for pool in seen) == [False, True, True]
+        assert len(seen) == 3
+        assert isinstance(seen[0], ThreadPoolExecutor) and seen[0]._max_workers == 2
+        assert all(pool is seen[0] for pool in seen)
 
     def test_negative_workers_rejected_before_work(self, fb4, monkeypatch):
         def no_analysis(*args):
@@ -205,8 +207,9 @@ class TestSeparate:
 
     def test_failing_segment_is_named(self, fb4):
         x = noise_waveform(15.0, channels=2, seed=32)
+        # one worker, so the second forward call is segment 1's
         with pytest.raises(PipelineError, match=r"segment 1 \(from 10 s\)"):
-            separate(x, BadSecondSegment(), fb4)
+            separate(x, BadSecondSegment(), fb4, workers=1)
 
     def test_failing_stage_is_named(self, fb4):
         class RaisingForward:
@@ -280,7 +283,8 @@ class TestBlasThreads:
                 separate(x, BadSecondSegment(), fb4, workers=2)
             assert get() == 2
             separate(x, Recorder(), fb4, workers=1)
-            assert seen[2:] == [2, 2]
+            assert seen[2:] == [1, 1]
+            assert get() == 2
 
             # concurrent calls share one hold; the last one out restores
             def two_at_once():

@@ -170,6 +170,11 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward(np.zeros((4, 32, 257), dtype=np.float32))
 
+    def test_zero_bins_rejected_with_shape(self):
+        model = build(TINY)
+        with pytest.raises(ValueError, match=r"\(8, 10, 0\)"):
+            model.forward(np.zeros((8, 10, 0), dtype=np.float32))
+
     def test_translation_covariance(self):
         # doubling T leaves interior frames of the shorter clip unchanged
         model = init_random(build(TINY), seed=7)
