@@ -12,7 +12,6 @@ from .filterbank import (
 from .metrics import (
     energy_conservation_loss,
     evaluation_report,
-    l1_loss,
     sdr_framewise_median,
     sdr_global,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "separate",
     "instrumental_residual",
     "IdentityModel",
-    "l1_loss",
     "energy_conservation_loss",
     "sdr_global",
     "sdr_framewise_median",

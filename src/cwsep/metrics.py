@@ -28,12 +28,6 @@ def _check_shapes(a: Waveform, b: Waveform):
         raise MetricsError(f"sample rate mismatch: {a.sample_rate} Hz vs {b.sample_rate} Hz")
 
 
-def l1_loss(a: Waveform, b: Waveform) -> float:
-    """Mean absolute samplewise difference over all channels."""
-    _check_shapes(a, b)
-    return float(np.mean(np.abs(a.samples - b.samples)))
-
-
 def energy_conservation_loss(mixture: Waveform, estimates) -> float:
     """L1 between the mixture and the sum of the source estimates, in float64."""
     if len(estimates) == 0:

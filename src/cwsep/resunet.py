@@ -12,18 +12,19 @@ Layer counting rule: every convolution counts, including 1x1 shortcuts,
 upsample convs, and the head. The bundled presets hit 276 and 166 conv
 layers under this rule.
 
-Convolutions are GEMMs over row tiles. A 3x3 conv is "row-tap": for a
-tile of r output rows it copies only the three column shifts of its
-r + 2 input rows (one halo row on each side, zero outside the input)
-into a channel-first operand [C, 3, r+2, W] with zero edge columns,
-multiplies all three kernel rows at once, [3*O, 3*C] @ [3*C, (r+2)*W],
-and sums the three row-shifted [O, r, W] slices of the [3, O, r+2, W]
-product. A 1x1 conv (a residual shortcut) is the same with one tap and
-no row shift. Bias, leaky-ReLU and the residual add then work in place
-on the tile's output rows, and only then is the next tile staged, so
-every pass over a tile finds it in cache.
+A 1x1 conv (a residual shortcut, no bias) is one GEMM over the whole
+layer, [O, C] @ [C, H*W], on the calling thread. A 3x3 conv is a GEMM
+per row tile, "row-tap": for a tile of r output rows it copies only the
+three column shifts of its r + 2 input rows (one halo row on each side,
+zero outside the input) into a channel-first operand [C, 3, r+2, W]
+with zero edge columns, multiplies all three kernel rows at once,
+[3*O, 3*C] @ [3*C, (r+2)*W], and sums the three row-shifted [O, r, W]
+slices of the [3, O, r+2, W] product. Bias, leaky-ReLU and the
+residual add then work in place on the tile's output rows, and only
+then is the next tile staged, so every pass over a tile finds it in
+cache.
 
-Every conv is cut into row slabs, `min(threads, H)` of them, where
+Every 3x3 conv is cut into row slabs, `min(threads, H)` of them, where
 `threads` is the size of the pool passed to `forward` (one slab without
 a pool), and each slab into the fewest near-equal tiles whose staged
 operand fits TILE_BYTES. The calling thread runs slab 0 and every slab
@@ -37,17 +38,17 @@ fastest or tied in three sweeps; 3.76 s at 1 MiB, 3.54 s at 4 and
 8 MiB, 4.77 s at 0.5 MiB, where halo rows and per-tile calls add up,
 and 4.38 s with one tile per slab.
 
-Each GEMM has a multiple of 16 columns (the pad columns are zero and
-their products unused): numpy's bundled OpenBLAS computes the last 1-8
-columns of a small GEMM with other rounding, so an unpadded tile would
-not match a wider one. Output rows are thus the same bits however the
-conv is cut into slabs and tiles. That was checked with numpy 2.4.6's
-bundled OpenBLAS 0.3.31 on x86-64 for 1-16 slabs and for tiles of one
-row up, including tile GEMMs under its small-matrix size
-(M*N*K <= 1e6) whose one-tile GEMM is over it. At K = 480 (not at
-K <= 448) that kernel was seen to round otherwise; no preset runs a
-GEMM that wide that small. Another BLAS may round a tile differently
-in the last bits.
+Each tile GEMM has a multiple of 16 columns (the pad columns are zero
+and their products unused): numpy's bundled OpenBLAS computes the last
+1-8 columns of a small GEMM with other rounding, so an unpadded tile
+would not match a wider one. Output rows are thus the same bits however
+a 3x3 conv is cut into slabs and tiles, and a shortcut is one call
+whatever the thread count. That was checked with numpy 2.4.6's bundled
+OpenBLAS 0.3.31 on x86-64 for 1-16 slabs and for tiles of one row up,
+including tile GEMMs under its small-matrix size (M*N*K <= 1e6) whose
+one-tile GEMM is over it. At K = 480 (not at K <= 448) that kernel was
+seen to round otherwise; no preset runs a GEMM that wide that small.
+Another BLAS may round a tile differently in the last bits.
 
 Inference only; parameters live in a flat name -> float32 array table
 serialized via the CWSW container format.
@@ -58,7 +59,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -108,28 +109,9 @@ class ModelConfig:
 
     def config_hash(self) -> str:
         """Hash of the architecture; the layer-count target does not change it."""
-        doc = self.to_dict()
+        doc = asdict(self)
         del doc["target_layer_count"]
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "out_sources": self.out_sources,
-            "blocks_per_level": list(self.blocks_per_level),
-            "channels_per_level": list(self.channels_per_level),
-            "target_layer_count": self.target_layer_count,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            in_channels=d["in_channels"],
-            out_sources=d["out_sources"],
-            blocks_per_level=tuple(d["blocks_per_level"]),
-            channels_per_level=tuple(d["channels_per_level"]),
-            target_layer_count=d.get("target_layer_count"),
-        )
 
 
 PRESETS = {
@@ -206,9 +188,9 @@ class Model:
         """Map a magnitude tensor [in_channels, T, F] to NetworkOutputs.
 
         Returns one NetworkOutput per source, each tensor shaped exactly
-        like the input. With a `pool` (a ThreadPoolExecutor) every conv
-        runs as row slabs, one per pool thread, on this thread and the
-        pool's idle threads; the output is the same bits as without.
+        like the input. With a `pool` (a ThreadPoolExecutor) every 3x3
+        conv runs as row slabs, one per pool thread, on this thread and
+        the pool's idle threads; the output is the same bits as without.
         """
         cfg = self.config
         mag = np.asarray(mag, dtype=np.float32)
@@ -248,13 +230,13 @@ class Model:
     def _conv(self, x, prefix, pool, leaky=False, residual=None):
         w = self.params[f"{prefix}.weight"]
         b = self.params.get(f"{prefix}.bias")
-        return _conv2d(x, w, b, pool, leaky, residual)
+        return _conv3x3(x, w, b, pool, leaky, residual)
 
     def _block(self, x, prefix, pool=None):
         y = self._conv(x, f"{prefix}.conv1", pool, leaky=True)
-        shortcut = f"{prefix}.shortcut"
-        if f"{shortcut}.weight" in self.params:
-            x = self._conv(x, shortcut, pool)
+        w = self.params.get(f"{prefix}.shortcut.weight")
+        if w is not None:
+            x = _shortcut(x, w)
         return self._conv(y, f"{prefix}.conv2", pool, residual=x)
 
 
@@ -277,20 +259,19 @@ def _split(lo, hi, n):
     return [(lo + i * (hi - lo) // n, lo + (i + 1) * (hi - lo) // n) for i in range(n)]
 
 
-def _tiles(hgt, wid, k, c, threads):
-    """(first row, end row, columns) of each row tile, one list per row slab of a conv.
+def _tiles(hgt, wid, c, threads):
+    """(first row, end row, columns) of each row tile, one list per row slab of a 3x3 conv.
 
     `min(threads, hgt)` slabs (one if hgt is 0) of near-equal row
     counts, each cut into the fewest near-equal tiles whose staged
-    operand fits TILE_BYTES (one row at least). A tile of r rows of a
-    k x k conv over c channels stages r + k - 1 input rows as a
-    [c * k, columns] float32 operand, `columns` being (r + k - 1) * wid
-    padded to whole GEMM_COLUMNS.
+    operand fits TILE_BYTES (one row at least). A tile of r rows over
+    c channels stages r + 2 input rows as a [3 * c, columns] float32
+    operand, `columns` being (r + 2) * wid padded to whole GEMM_COLUMNS.
     """
-    fit = max(TILE_BYTES // (4 * k * c * wid) - (k - 1), 1)
+    fit = max(TILE_BYTES // (12 * c * wid) - 2, 1)
     return [
         [
-            (t0, t1, -(-(t1 - t0 + k - 1) * wid // GEMM_COLUMNS) * GEMM_COLUMNS)
+            (t0, t1, -(-(t1 - t0 + 2) * wid // GEMM_COLUMNS) * GEMM_COLUMNS)
             for t0, t1 in _split(r0, r1, max(-(-(r1 - r0) // fit), 1))
         ]
         for r0, r1 in _split(0, hgt, max(min(threads, hgt), 1))
@@ -333,67 +314,68 @@ def _leaky(x, scratch):
     return np.maximum(x, np.multiply(x, LEAKY_SLOPE, out=tmp), out=x)
 
 
-def _stage(x, lo, hi, taps):
-    """Copy rows lo..hi-1 of x [C,H,W] into taps [C*k, columns] as k column shifts.
+def _shortcut(x, w):
+    """1x1 conv without bias: x [C,H,W], w [O,C,1,1] -> a fresh float32 [O,H,W], one GEMM."""
+    c, hgt, wid = x.shape
+    return np.matmul(w[:, :, 0, 0], x.reshape(c, hgt * wid)).reshape(len(w), hgt, wid)
 
-    Tap j at column s reads input column s + j - k // 2. Rows outside
-    x, the edge column a shift moves past and the columns past
-    (hi - lo) * W are zero.
+
+def _stage(x, lo, hi, taps):
+    """Copy rows lo..hi-1 of x [C,H,W] into taps [3*C, columns] as three column shifts.
+
+    Tap j at column s reads input column s + j - 1. Rows outside x, the
+    edge column a shift moves past and the columns past (hi - lo) * W
+    are zero.
     """
     c, hgt, wid = x.shape
-    k = len(taps) // c
     n = (hi - lo) * wid
     taps[:, n:] = 0
-    buf = taps[:, :n].reshape(c, k, hi - lo, wid)
+    buf = taps[:, :n].reshape(c, 3, hi - lo, wid)
     top, bot = max(lo, 0), min(hi, hgt)
     buf[:, :, : top - lo] = 0
     buf[:, :, bot - lo :] = 0
     src, inner = x[:, top:bot], buf[:, :, top - lo : bot - lo]
-    inner[:, k // 2] = src
-    if k == 3:
-        inner[:, 0, :, 0] = 0
-        inner[:, 0, :, 1:] = src[:, :, :-1]
-        inner[:, 2, :, -1] = 0
-        inner[:, 2, :, :-1] = src[:, :, 1:]
+    inner[:, 0, :, 0] = 0
+    inner[:, 0, :, 1:] = src[:, :, :-1]
+    inner[:, 1] = src
+    inner[:, 2, :, -1] = 0
+    inner[:, 2, :, :-1] = src[:, :, 1:]
 
 
-def _conv2d(x, w, b, pool=None, leaky=False, residual=None):
-    """x [C,H,W], w [O,C,k,k] with k in {1,3}, zero padding to 'same'.
+def _conv3x3(x, w, b, pool=None, leaky=False, residual=None):
+    """x [C,H,W], w [O,C,3,3], zero padding to 'same'.
 
     Returns a fresh float32 [O,H,W]: the conv plus bias `b` (or none),
     through the leaky ReLU if `leaky`, plus `residual` [O,H,W] if given.
     Each row slab walks its row tiles (see `_tiles`). A tile of r rows
-    stages its r + k - 1 input rows as [C*k, columns]; one GEMM, w as
-    [k*O, C*k] (kernel row, then output channel) by that operand, gives
-    z [k, O, r + k - 1, W], and the tile's output rows are
-    z[0, :, 0:r] + z[1, :, 1:r+1] + z[2, :, 2:r+2] (z[0] for a 1x1
-    conv). Bias, leaky ReLU (z as scratch) and residual follow before
-    the next tile is staged. Each slab allocates one operand and one
-    GEMM output, sized for its widest tile.
+    stages its r + 2 input rows as [3*C, columns]; one GEMM, w as
+    [3*O, 3*C] (kernel row, then output channel) by that operand, gives
+    z [3, O, r + 2, W], and the tile's output rows are
+    z[0, :, 0:r] + z[1, :, 1:r+1] + z[2, :, 2:r+2]. Bias, leaky ReLU
+    (z as scratch) and residual follow before the next tile is staged.
+    Each slab allocates one operand and one GEMM output, sized for its
+    widest tile.
     """
-    o, c, k, _ = w.shape
+    o, c = w.shape[:2]
     _, hgt, wid = x.shape
     y = np.empty((o, hgt, wid), dtype=np.float32)
-    w_rows = w.transpose(2, 0, 1, 3).reshape(k * o, k * c)  # [kernel row, O] x [C, kernel column]
-    slabs = _tiles(hgt, wid, k, c, _threads(pool))
+    w_rows = w.transpose(2, 0, 1, 3).reshape(3 * o, 3 * c)  # [kernel row, O] x [C, kernel column]
+    slabs = _tiles(hgt, wid, c, _threads(pool))
 
     def slab(i):
         widest = max(n for *_, n in slabs[i])
-        staged = np.empty(k * c * widest, dtype=np.float32)
-        product = np.empty(k * o * widest, dtype=np.float32)
+        staged = np.empty(3 * c * widest, dtype=np.float32)
+        product = np.empty(3 * o * widest, dtype=np.float32)
         for t0, t1, n in slabs[i]:
             rows = t1 - t0
-            taps = staged[: k * c * n].reshape(k * c, n)
-            _stage(x, t0 - k // 2, t1 + k // 2, taps)
-            z = np.matmul(w_rows, taps, out=product[: k * o * n].reshape(k * o, n))
-            z = z[:, : (rows + k - 1) * wid].reshape(k, o, rows + k - 1, wid)
+            taps = staged[: 3 * c * n].reshape(3 * c, n)
+            _stage(x, t0 - 1, t1 + 1, taps)
+            z = np.matmul(w_rows, taps, out=product[: 3 * o * n].reshape(3 * o, n))
+            z = z[:, : (rows + 2) * wid].reshape(3, o, rows + 2, wid)
             out = y[:, t0:t1]
-            if k == 1:
-                np.copyto(out, z[0])
-            else:
-                # output row r takes kernel row i from staged row r + i
-                np.add(z[0, :, :rows], z[1, :, 1 : rows + 1], out=out)
-                out += z[2, :, 2:]
+            # output row r takes kernel row i from staged row r + i
+            np.add(z[0, :, :rows], z[1, :, 1 : rows + 1], out=out)
+            out += z[2, :, 2:]
             if b is not None:
                 out += b[:, None, None]
             if leaky:
@@ -460,7 +442,7 @@ def save_weights(model: Model) -> WeightStore:
     return WeightStore(
         config_hash=model.config.config_hash(),
         tensors={k: v.astype(np.float32) for k, v in model.params.items()},
-        config=model.config.to_dict(),
+        config=asdict(model.config),
         metadata={"source_count": model.config.out_sources},
     )
 
@@ -561,5 +543,5 @@ def model_from_store(store: WeightStore) -> Model:
     """Rebuild a model from a store that embeds its config."""
     if store.config is None:
         raise WeightStoreError("weight store carries no model config")
-    config = ModelConfig.from_dict(store.config)
+    config = ModelConfig(**store.config)
     return load_weights(build(config), store)

@@ -240,6 +240,21 @@ class TestSeparate:
         assert "weights stage" in err
 
 
+    def test_unknown_config_key_weights_stage(self, tmp_path, capsys, fb_json_path):
+        store = save_weights(build(PRESETS["tiny"]))
+        store.config["kernel_size"] = 5
+        weights = tmp_path / "odd.cwsw"
+        write_store(store, weights)
+        wav = tmp_path / "mix.wav"
+        write_wav(noise_waveform(1.0, channels=2), wav, format="float32")
+        code, _, err = run(capsys, "separate", "--input", str(wav),
+                           "--weights", str(weights),
+                           "--filters", str(fb_json_path),
+                           "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert "weights stage:" in err and "kernel_size" in err
+        assert not (tmp_path / "o").exists()
+
     def test_repeated_source_usage_error(self, tmp_path, capsys, fb_json_path,
                                          tiny_weights_path):
         # checked before the input is read: the input does not exist

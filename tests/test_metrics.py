@@ -5,7 +5,6 @@ from cwsep import (
     Waveform,
     energy_conservation_loss,
     evaluation_report,
-    l1_loss,
     sdr_framewise_median,
     sdr_global,
 )
@@ -23,30 +22,6 @@ def with_exact_ratio(reference: Waveform, ratio: float, seed=1) -> Waveform:
     e = rng.standard_normal(reference.samples.shape)
     scale = np.sqrt(np.sum(reference.samples**2) / (ratio * np.sum(e**2)))
     return Waveform(reference.samples + scale * e, reference.sample_rate)
-
-
-class TestL1:
-    def test_equal_is_zero(self):
-        x = noise()
-        assert l1_loss(x, x) == 0.0
-
-    def test_constant_offset(self):
-        x = noise(seed=2)
-        y = Waveform(x.samples + 0.5, x.sample_rate)
-        assert abs(l1_loss(x, y) - 0.5) <= 1e-12
-
-    def test_matches_naive_sum_oracle(self):
-        a = noise(seed=3)
-        b = noise(seed=4)
-        oracle = 0.0
-        for c in range(a.num_channels):
-            oracle += float(np.sum(np.abs(a.samples[c] - b.samples[c])))
-        oracle /= a.samples.size
-        assert abs(l1_loss(a, b) - oracle) <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(MetricsError):
-            l1_loss(noise(1.0), noise(0.5))
 
 
 class TestEnergyConservation:
@@ -192,10 +167,9 @@ def test_evaluation_report_fields():
 
 @pytest.mark.parametrize("metric", [
     sdr_global,
-    l1_loss,
     sdr_framewise_median,
     lambda a, b: energy_conservation_loss(a, [b]),
-], ids=["sdr_global", "l1_loss", "sdr_framewise_median", "energy_conservation_loss"])
+], ids=["sdr_global", "sdr_framewise_median", "energy_conservation_loss"])
 def test_sample_rate_mismatch_rejected(metric):
     ref = noise(seed=70)
     tagged = Waveform(ref.samples, 48000)

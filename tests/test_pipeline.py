@@ -40,15 +40,17 @@ def within(timeout, fn, *args, **kwargs):
     return box["value"]
 
 
-class BadSecondSegment:
-    """Returns a wrongly shaped output for the second segment it sees."""
+class BadPaddedSegment:
+    """Returns a wrongly shaped output for a segment whose last frame is silent.
+
+    `separate` zero-pads its input to whole 10 s segments, so of a 15 s
+    noise input only segment 1 ends in silence, whichever thread runs it.
+    """
 
     out_sources = 1
-    calls = 0
 
     def forward(self, mag, pool=None):
-        self.calls += 1
-        shape = mag.shape if self.calls == 1 else (1, 1, 1)
+        shape = mag.shape if mag[:, -1].any() else (1, 1, 1)
         return IdentityModel().forward(np.zeros(shape, dtype=mag.dtype))
 
 
@@ -207,9 +209,8 @@ class TestSeparate:
 
     def test_failing_segment_is_named(self, fb4):
         x = noise_waveform(15.0, channels=2, seed=32)
-        # one worker, so the second forward call is segment 1's
         with pytest.raises(PipelineError, match=r"segment 1 \(from 10 s\)"):
-            separate(x, BadSecondSegment(), fb4, workers=1)
+            separate(x, BadPaddedSegment(), fb4, workers=1)
 
     def test_failing_stage_is_named(self, fb4):
         class RaisingForward:
@@ -279,8 +280,8 @@ class TestBlasThreads:
             separate(x, Recorder(), fb4, workers=2)
             assert seen == [1, 1]
             assert get() == 2
-            with pytest.raises(PipelineError):
-                separate(x, BadSecondSegment(), fb4, workers=2)
+            with pytest.raises(PipelineError, match=r"segment 1 \(from 10 s\)"):
+                separate(x, BadPaddedSegment(), fb4, workers=2)
             assert get() == 2
             separate(x, Recorder(), fb4, workers=1)
             assert seen[2:] == [1, 1]

@@ -26,7 +26,7 @@ from cwsep.resunet import (
     write_store,
 )
 from cwsep import resunet
-from cwsep.resunet import _conv2d
+from cwsep.resunet import _conv3x3, _shortcut
 
 TINY = PRESETS["tiny"]
 
@@ -233,57 +233,59 @@ class TestConv2d:
     @pytest.mark.parametrize("bias", [False, True])
     @pytest.mark.parametrize("row_tiles", [False, True])
     def test_matches_oracle(self, k, c, o, hgt, wid, bias, row_tiles, monkeypatch):
+        # k = 1 is a residual shortcut: one GEMM over the layer with no
+        # bias and no tiles, so its bias and row_tiles cases repeat its
+        # plain one
         rng = np.random.default_rng(hgt * 100 + wid * 10 + c)
         x = rng.standard_normal((c, hgt, wid)).astype(np.float32)
         w = rng.standard_normal((o, c, k, k)).astype(np.float32)
-        b = rng.standard_normal(o).astype(np.float32) if bias else None
+        b = rng.standard_normal(o).astype(np.float32) if bias and k == 3 else None
         # one-row tiles restage the operand over the previous tile's
         # values; otherwise the conv is one tile
         if row_tiles:
             monkeypatch.setattr(resunet, "TILE_BYTES", 1)
-        got = _conv2d(x, w, b)
+        got = _conv3x3(x, w, b) if k == 3 else _shortcut(x, w)
         ref = conv_oracle(x, w, b)
         assert got.shape == (o, hgt, wid) and got.dtype == np.float32
         assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("threads", [8, 16])
     def test_many_slabs_match_unsplit_across_the_small_gemm_size(self, threads):
-        # vocals-276 convs at its two deepest levels for a 10 s segment
-        # ([1003, 257] frames x bins, padded to [1024, 288]). OpenBLAS
-        # computes a GEMM with M*N*K <= 1e6 with its small-matrix kernel;
-        # some of these convs run their unsplit GEMMs above that size and
-        # their slab GEMMs below it. dec4.block0.conv1 has K = 480.
-        layers = [  # c, o, k, rows, columns
-            (48, 64, 1, 128, 36),  # enc3.block0.shortcut
-            (48, 64, 3, 128, 36),  # enc3.block0.conv1
-            (80, 64, 3, 128, 36),  # dec3.upsample
-            (128, 64, 3, 128, 36),  # dec3.block0.conv1
-            (64, 80, 1, 64, 18),  # enc4.block0.shortcut
-            (64, 80, 3, 64, 18),  # enc4.block0.conv1
-            (80, 80, 3, 64, 18),  # enc4.block1.conv2
-            (160, 80, 1, 64, 18),  # dec4.block0.shortcut
-            (160, 80, 3, 64, 18),  # dec4.block0.conv1
+        # vocals-276 3x3 convs at its two deepest levels for a 10 s
+        # segment ([1003, 257] frames x bins, padded to [1024, 288]), and
+        # one shape of no preset layer. OpenBLAS computes a GEMM with
+        # M*N*K <= 1e6 with its small-matrix kernel; that last shape runs
+        # its unsplit GEMMs above that size and its slab GEMMs below it.
+        # dec4.block0.conv1 has K = 480.
+        layers = [  # c, o, rows, columns
+            (48, 64, 128, 36),  # enc3.block0.conv1
+            (80, 64, 128, 36),  # dec3.upsample
+            (128, 64, 128, 36),  # dec3.block0.conv1
+            (64, 80, 64, 18),  # enc4.block0.conv1
+            (80, 80, 64, 18),  # enc4.block1.conv2
+            (160, 80, 64, 18),  # dec4.block0.conv1
+            (16, 32, 64, 18),
         ]
         crossed = False
         rng = np.random.default_rng(threads)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for c, o, k, hgt, wid in layers:
+            for c, o, hgt, wid in layers:
                 x = rng.standard_normal((c, hgt, wid)).astype(np.float32)
-                w = (rng.standard_normal((o, c, k, k)) / (3 * c)).astype(np.float32)
+                w = (rng.standard_normal((o, c, 3, 3)) / (3 * c)).astype(np.float32)
                 b = rng.standard_normal(o).astype(np.float32)
                 res = rng.standard_normal((o, hgt, wid)).astype(np.float32)
-                # a tile's GEMM is [k*o, k*c] @ [k*c, columns]
+                # a tile's GEMM is [3*o, 3*c] @ [3*c, columns]
                 size = {
                     n_slabs: [
-                        k * o * k * c * n
-                        for tiles in resunet._tiles(hgt, wid, k, c, n_slabs)
+                        9 * o * c * n
+                        for tiles in resunet._tiles(hgt, wid, c, n_slabs)
                         for *_, n in tiles
                     ]
                     for n_slabs in (1, threads)
                 }
                 crossed |= min(size[1]) > 1e6 and min(size[threads]) <= 1e6
-                unsplit = _conv2d(x, w, b, None, True, res)
-                assert np.array_equal(_conv2d(x, w, b, pool, True, res), unsplit)
+                unsplit = _conv3x3(x, w, b, None, True, res)
+                assert np.array_equal(_conv3x3(x, w, b, pool, True, res), unsplit)
         assert crossed
 
     @pytest.mark.parametrize("slabs", [1, 2, 3])
@@ -303,14 +305,14 @@ class TestConv2d:
         b = rng.standard_normal(o).astype(np.float32)
         res = rng.standard_normal((o, hgt, wid)).astype(np.float32)
         monkeypatch.setattr(resunet, "TILE_BYTES", 4 * 3 * c * (hgt + 2) * wid)
-        assert len(resunet._tiles(hgt, wid, 3, c, 1)[0]) == 1
-        whole = _conv2d(x, w, b, None, True, res)
+        assert len(resunet._tiles(hgt, wid, c, 1)[0]) == 1
+        whole = _conv3x3(x, w, b, None, True, res)
         with ThreadPoolExecutor(max_workers=slabs) as pool:
             for rows in (1, 7):
                 monkeypatch.setattr(resunet, "TILE_BYTES", 4 * 3 * c * (rows + 2) * wid)
-                tiles = resunet._tiles(hgt, wid, 3, c, slabs)
+                tiles = resunet._tiles(hgt, wid, c, slabs)
                 assert max(t1 - t0 for s in tiles for t0, t1, _ in s) <= rows
-                assert np.array_equal(_conv2d(x, w, b, pool, True, res), whole)
+                assert np.array_equal(_conv3x3(x, w, b, pool, True, res), whole)
 
     def test_memory_stays_within_the_output_and_a_few_tiles(self):
         # dec0.block0.conv1 of vocals-276 on a 10 s segment, on 2 slabs:
@@ -323,7 +325,7 @@ class TestConv2d:
         with ThreadPoolExecutor(max_workers=slabs) as pool:
             tracemalloc.start()
             try:
-                y = _conv2d(x, w, b, pool, True)
+                y = _conv3x3(x, w, b, pool, True)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
