@@ -103,6 +103,11 @@ class FilterBank:
     @classmethod
     def from_json(cls, text: str) -> "FilterBank":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError(f"filter bank JSON is a {type(d).__name__}, not an object")
+        for key in ("num_bands", "taps", "analysis", "synthesis", "system_delay"):
+            if key not in d:
+                raise ValueError(f"filter bank JSON has no {key!r}")
         return cls(
             num_bands=d["num_bands"],
             taps=d["taps"],

@@ -24,31 +24,21 @@ residual add then work in place on the tile's output rows, and only
 then is the next tile staged, so every pass over a tile finds it in
 cache.
 
-Every 3x3 conv is cut into row slabs, `min(threads, H)` of them, where
-`threads` is the size of the pool passed to `forward` (one slab without
-a pool), and each slab into the fewest near-equal tiles whose staged
-operand fits TILE_BYTES. The calling thread runs slab 0 and every slab
-no idle pool thread has started. Each slab allocates one tile-sized
+Every 3x3 conv is cut into the same row tiles whatever the thread
+count: the fewest near-equal tiles whose staged operand fits
+TILE_BYTES. With a pool passed to `forward`, the tiles are dealt in
+turn to `min(threads, tiles)` jobs; the calling thread runs job 0 and
+every job no idle pool thread has started. Each job allocates one tile-sized
 operand and product per conv; a forward keeps no buffer across layers,
-so threads may share one Model. TILE_BYTES is 2 MiB, the L2 cache of
-one core of the 2-core Xeon VM it was measured on. There, alternating
-`vocals-276` forwards on a 10 s segment at two threads (numpy 2.4.6,
-OpenBLAS 0.3.31 at one thread) took a median 3.32 s at 2 MiB, the
-fastest or tied in three sweeps; 3.76 s at 1 MiB, 3.54 s at 4 and
-8 MiB, 4.77 s at 0.5 MiB, where halo rows and per-tile calls add up,
-and 4.38 s with one tile per slab.
-
-Each tile GEMM has a multiple of 16 columns (the pad columns are zero
-and their products unused): numpy's bundled OpenBLAS computes the last
-1-8 columns of a small GEMM with other rounding, so an unpadded tile
-would not match a wider one. Output rows are thus the same bits however
-a 3x3 conv is cut into slabs and tiles, and a shortcut is one call
-whatever the thread count. That was checked with numpy 2.4.6's bundled
-OpenBLAS 0.3.31 on x86-64 for 1-16 slabs and for tiles of one row up,
-including tile GEMMs under its small-matrix size (M*N*K <= 1e6) whose
-one-tile GEMM is over it. At K = 480 (not at K <= 448) that kernel was
-seen to round otherwise; no preset runs a GEMM that wide that small.
-Another BLAS may round a tile differently in the last bits.
+so threads may share one Model. A tile's GEMM and epilogue are the same
+calls whichever thread runs them, and a shortcut is one call, so the
+output is the same bits for every thread count. TILE_BYTES is 2 MiB,
+the L2 cache of one core of the 2-core Xeon VM it was measured on.
+There, alternating `vocals-276` forwards on a 10 s segment at two
+threads (numpy 2.4.6, OpenBLAS 0.3.31 at one thread) took a median
+3.32 s at 2 MiB, the fastest or tied in three sweeps; 3.76 s at 1 MiB,
+3.54 s at 4 and 8 MiB, 4.77 s at 0.5 MiB, where halo rows and per-tile
+calls add up, and 4.38 s with one tile per thread.
 
 Inference only; parameters live in a flat name -> float32 array table
 serialized via the CWSW container format.
@@ -188,9 +178,9 @@ class Model:
         """Map a magnitude tensor [in_channels, T, F] to NetworkOutputs.
 
         Returns one NetworkOutput per source, each tensor shaped exactly
-        like the input. With a `pool` (a ThreadPoolExecutor) every 3x3
-        conv runs as row slabs, one per pool thread, on this thread and
-        the pool's idle threads; the output is the same bits as without.
+        like the input. With a `pool` (a ThreadPoolExecutor) the row
+        tiles of every 3x3 conv run on this thread and the pool's idle
+        threads; the output is the same bits as without.
         """
         cfg = self.config
         mag = np.asarray(mag, dtype=np.float32)
@@ -240,42 +230,25 @@ class Model:
         return self._conv(y, f"{prefix}.conv2", pool, residual=x)
 
 
-# GEMM column counts are padded to a multiple of this, so that a column's
-# bits do not depend on where the GEMM's columns start or end (see the
-# module docstring)
-GEMM_COLUMNS = 16
-
 # Bytes of one row tile's staged GEMM operand (see the module docstring)
 TILE_BYTES = 2 << 20
 
 
 def _threads(pool):
-    """Slabs per conv: 1, or the thread count a ThreadPoolExecutor keeps in `_max_workers`."""
+    """Most jobs per conv: 1, or the thread count a ThreadPoolExecutor keeps in `_max_workers`."""
     return 1 if pool is None else pool._max_workers
 
 
-def _split(lo, hi, n):
-    """Rows lo..hi-1 as n near-equal (first row, end row) ranges."""
-    return [(lo + i * (hi - lo) // n, lo + (i + 1) * (hi - lo) // n) for i in range(n)]
+def _tiles(hgt, wid, c):
+    """(first row, end row) of each row tile of a 3x3 conv over c channels.
 
-
-def _tiles(hgt, wid, c, threads):
-    """(first row, end row, columns) of each row tile, one list per row slab of a 3x3 conv.
-
-    `min(threads, hgt)` slabs (one if hgt is 0) of near-equal row
-    counts, each cut into the fewest near-equal tiles whose staged
-    operand fits TILE_BYTES (one row at least). A tile of r rows over
-    c channels stages r + 2 input rows as a [3 * c, columns] float32
-    operand, `columns` being (r + 2) * wid padded to whole GEMM_COLUMNS.
+    The fewest near-equal tiles (one if hgt is 0) whose staged operand
+    fits TILE_BYTES (one row at least). A tile of r rows stages r + 2
+    input rows as a [3 * c, (r + 2) * wid] float32 operand.
     """
     fit = max(TILE_BYTES // (12 * c * wid) - 2, 1)
-    return [
-        [
-            (t0, t1, -(-(t1 - t0 + 2) * wid // GEMM_COLUMNS) * GEMM_COLUMNS)
-            for t0, t1 in _split(r0, r1, max(-(-(r1 - r0) // fit), 1))
-        ]
-        for r0, r1 in _split(0, hgt, max(min(threads, hgt), 1))
-    ]
+    n = max(-(-hgt // fit), 1)
+    return [(i * hgt // n, (i + 1) * hgt // n) for i in range(n)]
 
 
 def _fan_out(pool, count, job):
@@ -321,16 +294,13 @@ def _shortcut(x, w):
 
 
 def _stage(x, lo, hi, taps):
-    """Copy rows lo..hi-1 of x [C,H,W] into taps [3*C, columns] as three column shifts.
+    """Copy rows lo..hi-1 of x [C,H,W] into taps [3*C, (hi-lo)*W] as three column shifts.
 
-    Tap j at column s reads input column s + j - 1. Rows outside x, the
-    edge column a shift moves past and the columns past (hi - lo) * W
-    are zero.
+    Tap j at column s reads input column s + j - 1. Rows outside x and
+    the edge column a shift moves past are zero.
     """
     c, hgt, wid = x.shape
-    n = (hi - lo) * wid
-    taps[:, n:] = 0
-    buf = taps[:, :n].reshape(c, 3, hi - lo, wid)
+    buf = taps.reshape(c, 3, hi - lo, wid)
     top, bot = max(lo, 0), min(hi, hgt)
     buf[:, :, : top - lo] = 0
     buf[:, :, bot - lo :] = 0
@@ -347,31 +317,34 @@ def _conv3x3(x, w, b, pool=None, leaky=False, residual=None):
 
     Returns a fresh float32 [O,H,W]: the conv plus bias `b` (or none),
     through the leaky ReLU if `leaky`, plus `residual` [O,H,W] if given.
-    Each row slab walks its row tiles (see `_tiles`). A tile of r rows
-    stages its r + 2 input rows as [3*C, columns]; one GEMM, w as
+    The conv runs over row tiles (see `_tiles`). A tile of r rows
+    stages its r + 2 input rows as [3*C, (r+2)*W]; one GEMM, w as
     [3*O, 3*C] (kernel row, then output channel) by that operand, gives
     z [3, O, r + 2, W], and the tile's output rows are
     z[0, :, 0:r] + z[1, :, 1:r+1] + z[2, :, 2:r+2]. Bias, leaky ReLU
     (z as scratch) and residual follow before the next tile is staged.
-    Each slab allocates one operand and one GEMM output, sized for its
-    widest tile.
+    With a `pool`, the tiles are dealt in turn to `min(threads, tiles)`
+    jobs (see `_fan_out`). Each job allocates one operand and one GEMM
+    output, sized for the widest tile.
     """
     o, c = w.shape[:2]
     _, hgt, wid = x.shape
     y = np.empty((o, hgt, wid), dtype=np.float32)
     w_rows = w.transpose(2, 0, 1, 3).reshape(3 * o, 3 * c)  # [kernel row, O] x [C, kernel column]
-    slabs = _tiles(hgt, wid, c, _threads(pool))
+    tiles = _tiles(hgt, wid, c)
+    count = min(_threads(pool), len(tiles))
+    widest = (max(t1 - t0 for t0, t1 in tiles) + 2) * wid
 
-    def slab(i):
-        widest = max(n for *_, n in slabs[i])
+    def job(i):
         staged = np.empty(3 * c * widest, dtype=np.float32)
         product = np.empty(3 * o * widest, dtype=np.float32)
-        for t0, t1, n in slabs[i]:
+        for t0, t1 in tiles[i::count]:
             rows = t1 - t0
+            n = (rows + 2) * wid
             taps = staged[: 3 * c * n].reshape(3 * c, n)
             _stage(x, t0 - 1, t1 + 1, taps)
             z = np.matmul(w_rows, taps, out=product[: 3 * o * n].reshape(3 * o, n))
-            z = z[:, : (rows + 2) * wid].reshape(3, o, rows + 2, wid)
+            z = z.reshape(3, o, rows + 2, wid)
             out = y[:, t0:t1]
             # output row r takes kernel row i from staged row r + i
             np.add(z[0, :, :rows], z[1, :, 1 : rows + 1], out=out)
@@ -383,7 +356,7 @@ def _conv3x3(x, w, b, pool=None, leaky=False, residual=None):
             if residual is not None:
                 out += residual[:, t0:t1]
 
-    _fan_out(pool, len(slabs), slab)
+    _fan_out(pool, count, job)
     return y
 
 
@@ -508,6 +481,8 @@ def read_store(path) -> WeightStore:
         raw = f.read()
     if raw[:4] != STORE_MAGIC:
         raise WeightStoreError(f"{path}: bad magic, not a CWSW weight store")
+    if len(raw) < 16:
+        raise WeightStoreError(f"{path}: truncated header")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != STORE_VERSION:
         raise WeightStoreError(f"{path}: unsupported store version {version}")
@@ -517,6 +492,14 @@ def read_store(path) -> WeightStore:
     if data_start > len(raw):
         raise WeightStoreError(f"{path}: truncated header")
     header = json.loads(raw[header_start:data_start].decode())
+    if not isinstance(header, dict):
+        raise WeightStoreError(f"{path}: header is a {type(header).__name__}, not an object")
+    for key in ("config_hash", "tensors"):
+        if key not in header:
+            raise WeightStoreError(f"{path}: header has no {key!r}")
+    config = header.get("config")
+    if not (config is None or isinstance(config, dict)):
+        raise WeightStoreError(f"{path}: header's 'config' is not an object")
     tensors = {}
     for entry in header["tensors"]:
         shape = tuple(entry["shape"])
@@ -534,7 +517,7 @@ def read_store(path) -> WeightStore:
     return WeightStore(
         config_hash=header["config_hash"],
         tensors=tensors,
-        config=header.get("config"),
+        config=config,
         metadata=header.get("metadata", {}),
     )
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -302,6 +303,54 @@ class TestSeparate:
         assert code == 1
         assert "filter stage" in err and "system_delay" in err
         assert not (tmp_path / "o").exists()
+
+    def separate_with(self, tmp_path, capsys, filters, weights):
+        wav = tmp_path / "mix.wav"
+        write_wav(noise_waveform(1.0, channels=2), wav, format="float32")
+        code, _, err = run(capsys, "separate", "--input", str(wav),
+                           "--weights", str(weights),
+                           "--filters", str(filters),
+                           "--out-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert not (tmp_path / "o").exists()
+        return err
+
+    @pytest.mark.parametrize(
+        "edit, cause",
+        [
+            (lambda doc: {k: v for k, v in doc.items() if k != "taps"},
+             "filter bank JSON has no 'taps'"),
+            (lambda doc: [doc], "filter bank JSON is a list, not an object"),
+        ],
+        ids=["no-taps", "list"],
+    )
+    def test_malformed_bank_named(self, tmp_path, capsys, fb4, tiny_weights_path, edit,
+                                  cause):
+        filters = tmp_path / "bad_fb.json"
+        filters.write_text(json.dumps(edit(json.loads(fb4.to_json()))))
+        err = self.separate_with(tmp_path, capsys, filters, tiny_weights_path)
+        assert f"filter stage: {cause}" in err
+
+    @pytest.mark.parametrize(
+        "header, cause",
+        [
+            (None, "truncated header"),
+            ({"config_hash": "0", "config": None}, "header has no 'tensors'"),
+            ({"config_hash": "0", "config": [], "tensors": []},
+             "header's 'config' is not an object"),
+        ],
+        ids=["ten-bytes", "no-tensors", "config-list"],
+    )
+    def test_malformed_store_named(self, tmp_path, capsys, fb_json_path, header, cause):
+        if header is None:
+            raw = b"CWSW" + struct.pack("<I", 1) + bytes(2)
+        else:
+            text = json.dumps(header).encode()
+            raw = b"CWSW" + struct.pack("<IQ", 1, len(text)) + text
+        weights = tmp_path / "bad.cwsw"
+        weights.write_bytes(raw)
+        err = self.separate_with(tmp_path, capsys, fb_json_path, weights)
+        assert "weights stage:" in err and cause in err
 
 
 class TestEvaluate:

@@ -153,7 +153,7 @@ class TestSeparate:
 
     def test_workers_do_not_change_network_result(self, fb4):
         # segments on several threads share one Model and one pool, each
-        # forward call spreads its row slabs over idle threads; a
+        # forward call spreads its row tiles over idle threads; a
         # deadlock fails instead of hanging
         model = init_random(build(PRESETS["tiny"]), seed=34)
         for seconds, workers in ((20.0, (2,)), (25.0, (2, 3))):
@@ -164,7 +164,7 @@ class TestSeparate:
                 assert np.array_equal(serial.samples, threaded.samples)
 
     def test_every_forward_gets_the_segment_pool(self, fb4):
-        # 3 segments on 2 threads: a busy pool leaves a forward's slabs
+        # 3 segments on 2 threads: a busy pool leaves a forward's tiles
         # to its own thread, so every forward may get the pool
         seen = []
 

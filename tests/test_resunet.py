@@ -106,9 +106,9 @@ class TestForward:
         assert np.array_equal(a.mag_residual, b.mag_residual)
 
     def test_threads_sharing_a_model_match_serial(self):
-        # each conv slab owns its tile buffers; more threads than
+        # each conv job owns its tile buffers; more threads than
         # cores and a short switch interval make any sharing show. In the
-        # second round the concurrent forwards also run their row slabs
+        # second round the concurrent forwards also run their row tiles
         # on the pool that runs them.
         model = init_random(build(TINY), seed=17)
         xs = [random_input(t=64, seed=s) for s in range(8)]
@@ -126,8 +126,8 @@ class TestForward:
         for threaded in rounds:
             assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
-    def test_slabs_run_here_leave_nothing_alive_in_a_busy_pool(self):
-        # the pool's one thread is busy, so every slab runs on the caller
+    def test_jobs_run_here_leave_nothing_alive_in_a_busy_pool(self):
+        # the pool's one thread is busy, so every job runs on the caller
         # and its cancelled job waits in the pool's queue; that job must
         # not keep the conv's arrays alive
         class Arrays:
@@ -150,8 +150,8 @@ class TestForward:
         "preset, t, f", [("tiny", 16, 90), ("tiny", 3, 30), ("other-166", 24, 100), ("other-166", 3, 30)]
     )
     def test_row_slabs_match_unsplit_forward(self, preset, t, f, threads):
-        # widths that are not whole GEMM columns; at 3 frames each preset
-        # has a 2-row level, fewer rows than 3 slabs. conv2 weights x0.1
+        # widths that are not multiples of 16; at 3 frames each preset
+        # has a 2-row level, fewer rows than 3 threads. conv2 weights x0.1
         # keep the deep net finite.
         model = init_random(build(PRESETS[preset]), seed=t)
         for name, value in model.params.items():
@@ -160,9 +160,9 @@ class TestForward:
         x = random_input(t=t, f=f, seed=t + 1)
         whole = model.forward(x)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            slabbed = model.forward(x, pool)
+            pooled = model.forward(x, pool)
         fields = ("mask_logits", "phase_real", "phase_imag", "mag_residual")
-        for a, b in zip(whole, slabbed, strict=True):
+        for a, b in zip(whole, pooled, strict=True):
             assert all(np.array_equal(getattr(a, n), getattr(b, n)) for n in fields)
 
     def test_wrong_channel_count_rejected(self):
@@ -253,10 +253,8 @@ class TestConv2d:
     def test_many_slabs_match_unsplit_across_the_small_gemm_size(self, threads):
         # vocals-276 3x3 convs at its two deepest levels for a 10 s
         # segment ([1003, 257] frames x bins, padded to [1024, 288]), and
-        # one shape of no preset layer. OpenBLAS computes a GEMM with
-        # M*N*K <= 1e6 with its small-matrix kernel; that last shape runs
-        # its unsplit GEMMs above that size and its slab GEMMs below it.
-        # dec4.block0.conv1 has K = 480.
+        # one shape of no preset layer, on pools of more threads than
+        # tiles. dec4.block0.conv1 has K = 480.
         layers = [  # c, o, rows, columns
             (48, 64, 128, 36),  # enc3.block0.conv1
             (80, 64, 128, 36),  # dec3.upsample
@@ -266,7 +264,6 @@ class TestConv2d:
             (160, 80, 64, 18),  # dec4.block0.conv1
             (16, 32, 64, 18),
         ]
-        crossed = False
         rng = np.random.default_rng(threads)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for c, o, hgt, wid in layers:
@@ -274,62 +271,82 @@ class TestConv2d:
                 w = (rng.standard_normal((o, c, 3, 3)) / (3 * c)).astype(np.float32)
                 b = rng.standard_normal(o).astype(np.float32)
                 res = rng.standard_normal((o, hgt, wid)).astype(np.float32)
-                # a tile's GEMM is [3*o, 3*c] @ [3*c, columns]
-                size = {
-                    n_slabs: [
-                        9 * o * c * n
-                        for tiles in resunet._tiles(hgt, wid, c, n_slabs)
-                        for *_, n in tiles
-                    ]
-                    for n_slabs in (1, threads)
-                }
-                crossed |= min(size[1]) > 1e6 and min(size[threads]) <= 1e6
                 unsplit = _conv3x3(x, w, b, None, True, res)
                 assert np.array_equal(_conv3x3(x, w, b, pool, True, res), unsplit)
-        assert crossed
 
-    @pytest.mark.parametrize("slabs", [1, 2, 3])
+    def test_tiles_do_not_depend_on_the_pool(self, monkeypatch):
+        # enc0.block0.conv1 of vocals-276 on 45 rows: one tile, which a
+        # pool of any size must not cut further
+        c, o, hgt, wid = 8, 16, 45, 288
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((c, hgt, wid)).astype(np.float32)
+        w = rng.standard_normal((o, c, 3, 3)).astype(np.float32)
+        stage, staged = resunet._stage, []
+
+        def recording(x, lo, hi, taps):
+            staged.append((lo, hi))
+            stage(x, lo, hi, taps)
+
+        monkeypatch.setattr(resunet, "_stage", recording)
+        runs = []
+        for threads in (0, 2, 3):
+            staged.clear()
+            if threads:
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    _conv3x3(x, w, None, pool)
+            else:
+                _conv3x3(x, w, None)
+            runs.append(sorted(staged))
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize(
         "c, o, hgt, wid",
         [
-            (8, 16, 45, 288),  # enc0.block0.conv1: one-row tile GEMMs under 1e6
+            (8, 16, 45, 288),  # enc0.block0.conv1
             (160, 80, 64, 18),  # dec4.block0.conv1: K = 480
         ],
     )
-    def test_row_tiles_match_one_tile(self, c, o, hgt, wid, slabs, monkeypatch):
-        # tiles of one row and of at most 7 rows, so that tile edges and
-        # slab edges fall apart, against one tile of the whole conv
+    def test_row_tiles_match_one_tile(self, c, o, hgt, wid, threads, monkeypatch):
+        # tiles of one row and of at most 7 rows against one tile of the
+        # whole conv and the oracle. A tile GEMM of other width may round
+        # otherwise in the last bits, so only the pool must match exactly.
         rng = np.random.default_rng(c)
         x = rng.standard_normal((c, hgt, wid)).astype(np.float32)
         w = (rng.standard_normal((o, c, 3, 3)) / (3 * c)).astype(np.float32)
         b = rng.standard_normal(o).astype(np.float32)
         res = rng.standard_normal((o, hgt, wid)).astype(np.float32)
+        ref = conv_oracle(x, w, b)
+        ref = np.maximum(ref, resunet.LEAKY_SLOPE * ref) + res
+        peak = np.max(np.abs(ref))
         monkeypatch.setattr(resunet, "TILE_BYTES", 4 * 3 * c * (hgt + 2) * wid)
-        assert len(resunet._tiles(hgt, wid, c, 1)[0]) == 1
+        assert len(resunet._tiles(hgt, wid, c)) == 1
         whole = _conv3x3(x, w, b, None, True, res)
-        with ThreadPoolExecutor(max_workers=slabs) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             for rows in (1, 7):
                 monkeypatch.setattr(resunet, "TILE_BYTES", 4 * 3 * c * (rows + 2) * wid)
-                tiles = resunet._tiles(hgt, wid, c, slabs)
-                assert max(t1 - t0 for s in tiles for t0, t1, _ in s) <= rows
-                assert np.array_equal(_conv3x3(x, w, b, pool, True, res), whole)
+                assert max(t1 - t0 for t0, t1 in resunet._tiles(hgt, wid, c)) <= rows
+                tiled = _conv3x3(x, w, b, None, True, res)
+                assert np.array_equal(_conv3x3(x, w, b, pool, True, res), tiled)
+                assert np.max(np.abs(tiled - whole)) <= 1e-6 * peak
+                assert np.max(np.abs(tiled - ref)) <= 1e-5 * peak
 
     def test_memory_stays_within_the_output_and_a_few_tiles(self):
-        # dec0.block0.conv1 of vocals-276 on a 10 s segment, on 2 slabs:
+        # dec0.block0.conv1 of vocals-276 on a 10 s segment, on 2 threads:
         # one whole-layer operand and GEMM output would be 170 MB
-        c, o, hgt, wid, slabs = 32, 16, 1024, 288, 2
+        c, o, hgt, wid, threads = 32, 16, 1024, 288, 2
         rng = np.random.default_rng(0)
         x = rng.standard_normal((c, hgt, wid)).astype(np.float32)
         w = (rng.standard_normal((o, c, 3, 3)) / (3 * c)).astype(np.float32)
         b = rng.standard_normal(o).astype(np.float32)
-        with ThreadPoolExecutor(max_workers=slabs) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             tracemalloc.start()
             try:
                 y = _conv3x3(x, w, b, pool, True)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak < y.nbytes + 3 * slabs * resunet.TILE_BYTES
+        assert peak < y.nbytes + 3 * threads * resunet.TILE_BYTES
 
 
 class TestWeightStore:
