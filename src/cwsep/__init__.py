@@ -24,7 +24,6 @@ from .resunet import (
     build,
     count_layers,
     init_random,
-    load_weights,
     model_from_store,
     read_store,
     save_weights,
@@ -61,7 +60,6 @@ __all__ = [
     "count_layers",
     "init_random",
     "save_weights",
-    "load_weights",
     "write_store",
     "read_store",
     "model_from_store",

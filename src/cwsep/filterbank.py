@@ -73,6 +73,11 @@ class FilterBank:
     system_delay: int
 
     def __post_init__(self):
+        for key in ("num_bands", "taps", "system_delay"):
+            n = getattr(self, key)
+            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+                raise ValueError(f"{key} must be an integer, got {n!r}")
+            object.__setattr__(self, key, int(n))
         a = np.asarray(self.analysis, dtype=np.float64)
         s = np.asarray(self.synthesis, dtype=np.float64)
         if a.shape != (self.num_bands, self.taps) or s.shape != (self.num_bands, self.taps):
@@ -82,10 +87,8 @@ class FilterBank:
         # the cascade's impulse response spans 2 * (taps - 1) samples
         max_delay = 2 * (self.taps - 1)
         d = self.system_delay
-        integral = isinstance(d, (int, np.integer)) and not isinstance(d, bool)
-        if not (integral and 0 <= d <= max_delay):
+        if not 0 <= d <= max_delay:
             raise ValueError(f"system_delay must be an integer in [0, {max_delay}], got {d!r}")
-        object.__setattr__(self, "system_delay", int(d))
         object.__setattr__(self, "analysis", a)
         object.__setattr__(self, "synthesis", s)
 

@@ -48,8 +48,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,11 +63,7 @@ STORE_MAGIC = b"CWSW"
 STORE_VERSION = 1
 
 
-class ModelError(Exception):
-    pass
-
-
-class WeightStoreError(ModelError):
+class WeightStoreError(Exception):
     pass
 
 
@@ -79,6 +76,17 @@ class ModelConfig:
     target_layer_count: int | None = None
 
     def __post_init__(self):
+        for key in ("in_channels", "out_sources"):
+            n = getattr(self, key)
+            if type(n) is not int or n < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {n!r}")
+        for key in ("blocks_per_level", "channels_per_level"):
+            levels = getattr(self, key)
+            if not isinstance(levels, (list, tuple)) or any(
+                type(n) is not int or n < 1 for n in levels
+            ):
+                raise ValueError(f"{key} must be a sequence of integers >= 1, got {levels!r}")
+            object.__setattr__(self, key, tuple(levels))
         if len(self.blocks_per_level) != len(self.channels_per_level):
             raise ValueError(
                 "blocks_per_level and channels_per_level must have equal length "
@@ -86,12 +94,11 @@ class ModelConfig:
             )
         if len(self.blocks_per_level) == 0:
             raise ValueError("at least one level required")
-        if any(b < 1 for b in self.blocks_per_level):
-            raise ValueError("every level needs at least one block")
-        if self.out_sources < 1:
-            raise ValueError("out_sources must be >= 1")
-        object.__setattr__(self, "blocks_per_level", tuple(self.blocks_per_level))
-        object.__setattr__(self, "channels_per_level", tuple(self.channels_per_level))
+        n = count_layers(self)
+        if self.target_layer_count is not None and n != self.target_layer_count:
+            raise ValueError(
+                f"config targets {self.target_layer_count} conv layers but builds {n}"
+            )
 
     @property
     def num_levels(self) -> int:
@@ -102,6 +109,42 @@ class ModelConfig:
         doc = asdict(self)
         del doc["target_layer_count"]
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _param_shapes(config: ModelConfig):
+    """Yield (name, shape) for every parameter in canonical order: each weight, then its bias."""
+    c_in = config.in_channels
+    chans = config.channels_per_level
+    prev = c_in
+    for lvl, (blocks, ch) in enumerate(zip(config.blocks_per_level, chans)):
+        for b in range(blocks):
+            bin_ = prev if b == 0 else ch
+            yield from _block_shapes(f"enc{lvl}.block{b}", bin_, ch)
+        prev = ch
+    for lvl in reversed(range(config.num_levels)):
+        ch = chans[lvl]
+        yield f"dec{lvl}.upsample.weight", (ch, prev, 3, 3)
+        yield f"dec{lvl}.upsample.bias", (ch,)
+        for b in range(config.blocks_per_level[lvl]):
+            bin_ = 2 * ch if b == 0 else ch
+            yield from _block_shapes(f"dec{lvl}.block{b}", bin_, ch)
+        prev = ch
+    out_ch = HEADS_PER_SOURCE * config.out_sources * config.in_channels
+    yield "head.weight", (out_ch, prev, 3, 3)
+
+
+def _block_shapes(prefix: str, cin: int, cout: int):
+    yield f"{prefix}.conv1.weight", (cout, cin, 3, 3)
+    yield f"{prefix}.conv1.bias", (cout,)
+    yield f"{prefix}.conv2.weight", (cout, cout, 3, 3)
+    yield f"{prefix}.conv2.bias", (cout,)
+    if cin != cout:
+        yield f"{prefix}.shortcut.weight", (cout, cin, 1, 1)
+
+
+def count_layers(config: ModelConfig) -> int:
+    """Number of convolutions under the documented counting rule."""
+    return sum(name.endswith(".weight") for name, _ in _param_shapes(config))
 
 
 PRESETS = {
@@ -128,39 +171,6 @@ PRESETS = {
         channels_per_level=(4, 8),
     ),
 }
-
-
-def _conv_shapes(config: ModelConfig):
-    """Yield (name, shape, has_bias) for every parameter, in canonical order."""
-    c_in = config.in_channels
-    chans = config.channels_per_level
-    prev = c_in
-    for lvl, (blocks, ch) in enumerate(zip(config.blocks_per_level, chans)):
-        for b in range(blocks):
-            bin_ = prev if b == 0 else ch
-            yield from _block_shapes(f"enc{lvl}.block{b}", bin_, ch)
-        prev = ch
-    for lvl in reversed(range(config.num_levels)):
-        ch = chans[lvl]
-        yield f"dec{lvl}.upsample.weight", (ch, prev, 3, 3), True
-        for b in range(config.blocks_per_level[lvl]):
-            bin_ = 2 * ch if b == 0 else ch
-            yield from _block_shapes(f"dec{lvl}.block{b}", bin_, ch)
-        prev = ch
-    out_ch = HEADS_PER_SOURCE * config.out_sources * config.in_channels
-    yield "head.weight", (out_ch, prev, 3, 3), False
-
-
-def _block_shapes(prefix: str, cin: int, cout: int):
-    yield f"{prefix}.conv1.weight", (cout, cin, 3, 3), True
-    yield f"{prefix}.conv2.weight", (cout, cout, 3, 3), True
-    if cin != cout:
-        yield f"{prefix}.shortcut.weight", (cout, cin, 1, 1), False
-
-
-def count_layers(config: ModelConfig) -> int:
-    """Number of convolutions under the documented counting rule."""
-    return sum(1 for name, _, _ in _conv_shapes(config) if name.endswith(".weight"))
 
 
 class Model:
@@ -370,21 +380,8 @@ def _upsample2(x):
 
 
 def build(config: ModelConfig) -> Model:
-    """Zero-initialized model with the canonical parameter table.
-
-    Raises if the config declares a target layer count the architecture
-    does not hit.
-    """
-    n = count_layers(config)
-    if config.target_layer_count is not None and n != config.target_layer_count:
-        raise ModelError(
-            f"config targets {config.target_layer_count} conv layers but builds {n}"
-        )
-    params = {}
-    for name, shape, has_bias in _conv_shapes(config):
-        params[name] = np.zeros(shape, dtype=np.float32)
-        if has_bias:
-            params[name[: -len(".weight")] + ".bias"] = np.zeros(shape[0], dtype=np.float32)
+    """Zero-initialized model with the canonical parameter table."""
+    params = {name: np.zeros(shape, dtype=np.float32) for name, shape in _param_shapes(config)}
     return Model(config, params)
 
 
@@ -407,8 +404,7 @@ def init_random(model: Model, seed: int) -> Model:
 class WeightStore:
     config_hash: str
     tensors: dict  # name -> float32 ndarray, insertion-ordered
-    config: dict | None = None
-    metadata: dict = field(default_factory=dict)
+    config: dict  # ModelConfig fields
 
 
 def save_weights(model: Model) -> WeightStore:
@@ -416,35 +412,7 @@ def save_weights(model: Model) -> WeightStore:
         config_hash=model.config.config_hash(),
         tensors={k: v.astype(np.float32) for k, v in model.params.items()},
         config=asdict(model.config),
-        metadata={"source_count": model.config.out_sources},
     )
-
-
-def load_weights(model: Model, store: WeightStore) -> Model:
-    """New Model with the store's tensors; strict name/shape/hash checking."""
-    expected_hash = model.config.config_hash()
-    if store.config_hash != expected_hash:
-        raise WeightStoreError(
-            f"config hash mismatch: store {store.config_hash}, model {expected_hash}"
-        )
-    missing = [k for k in model.params if k not in store.tensors]
-    extra = [k for k in store.tensors if k not in model.params]
-    bad_shape = [
-        k
-        for k in model.params
-        if k in store.tensors and store.tensors[k].shape != model.params[k].shape
-    ]
-    if missing or extra or bad_shape:
-        parts = []
-        if missing:
-            parts.append(f"missing: {sorted(missing)}")
-        if extra:
-            parts.append(f"unexpected: {sorted(extra)}")
-        if bad_shape:
-            parts.append(f"shape mismatch: {sorted(bad_shape)}")
-        raise WeightStoreError("weight store does not match model; " + "; ".join(parts))
-    params = {k: store.tensors[k].astype(np.float32) for k in model.params}
-    return Model(model.config, params)
 
 
 def write_store(store: WeightStore, path) -> None:
@@ -463,7 +431,6 @@ def write_store(store: WeightStore, path) -> None:
     header = {
         "config_hash": store.config_hash,
         "config": store.config,
-        "metadata": store.metadata,
         "tensors": entries,
     }
     header_bytes = json.dumps(header).encode()
@@ -494,37 +461,68 @@ def read_store(path) -> WeightStore:
     header = json.loads(raw[header_start:data_start].decode())
     if not isinstance(header, dict):
         raise WeightStoreError(f"{path}: header is a {type(header).__name__}, not an object")
-    for key in ("config_hash", "tensors"):
+    for key in ("config_hash", "config", "tensors"):
         if key not in header:
             raise WeightStoreError(f"{path}: header has no {key!r}")
-    config = header.get("config")
-    if not (config is None or isinstance(config, dict)):
+    config, entries = header["config"], header["tensors"]
+    if not isinstance(config, dict):
         raise WeightStoreError(f"{path}: header's 'config' is not an object")
+    if not isinstance(entries, list):
+        raise WeightStoreError(f"{path}: header's 'tensors' is not a list")
     tensors = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        name, dtype, offset = entry["name"], entry.get("dtype"), entry.get("offset")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+            raise WeightStoreError(
+                f"{path}: tensor entry {i} is not an object with a string 'name'"
+            )
+        name, shape = entry["name"], entry.get("shape")
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise WeightStoreError(
+                f"{path}: tensor {name!r} has shape {shape!r}, expected a list of integers >= 0"
+            )
+        dtype, offset = entry.get("dtype"), entry.get("offset")
         if dtype != "f32" or type(offset) is not int or offset < 0:
             raise WeightStoreError(
                 f"{path}: tensor {name!r} has dtype {dtype!r} and offset {offset!r}, "
                 "expected 'f32' and an integer >= 0"
             )
+        count = math.prod(shape)
         start = data_start + offset
-        end = start + 4 * int(np.prod(shape))
-        if end > len(raw):
+        if start + 4 * count > len(raw):
             raise WeightStoreError(f"{path}: truncated data for tensor {name!r}")
-        tensors[name] = np.frombuffer(raw[start:end], dtype="<f4").reshape(shape)
+        # one copy out of the file: aligned, writable and native-endian, where a view
+        # of raw can be unaligned (numpy's matmul then bypasses BLAS)
+        tensors[name] = np.frombuffer(raw, "<f4", count, start).astype(np.float32).reshape(shape)
     return WeightStore(
         config_hash=header["config_hash"],
         tensors=tensors,
         config=config,
-        metadata=header.get("metadata", {}),
     )
 
 
 def model_from_store(store: WeightStore) -> Model:
-    """Rebuild a model from a store that embeds its config."""
-    if store.config is None:
-        raise WeightStoreError("weight store carries no model config")
+    """Model of the store's config and tensors, checked against its parameter table.
+
+    The config hash, every parameter name and every shape must match.
+    float32 tensors are taken as they are, not copied.
+    """
     config = ModelConfig(**store.config)
-    return load_weights(build(config), store)
+    expected_hash = config.config_hash()
+    if store.config_hash != expected_hash:
+        raise WeightStoreError(
+            f"config hash mismatch: store {store.config_hash}, model {expected_hash}"
+        )
+    shapes = dict(_param_shapes(config))
+    missing = [k for k in shapes if k not in store.tensors]
+    extra = [k for k in store.tensors if k not in shapes]
+    bad_shape = [k for k in shapes if k in store.tensors and store.tensors[k].shape != shapes[k]]
+    if missing or extra or bad_shape:
+        parts = []
+        if missing:
+            parts.append(f"missing: {sorted(missing)}")
+        if extra:
+            parts.append(f"unexpected: {sorted(extra)}")
+        if bad_shape:
+            parts.append(f"shape mismatch: {sorted(bad_shape)}")
+        raise WeightStoreError("weight store does not match model; " + "; ".join(parts))
+    return Model(config, {k: np.asarray(store.tensors[k], dtype=np.float32) for k in shapes})

@@ -21,8 +21,8 @@ from cwsep import (
     energy_conservation_loss,
     identity_output,
     init_random,
-    load_weights,
     measure_reconstruction,
+    model_from_store,
     read_store,
     save_weights,
     sdr_framewise_median,
@@ -235,12 +235,12 @@ def test_criterion_8_weight_store(tmp_path):
         "enc0.block0.conv1.weight"
     )
     with pytest.raises(WeightStoreError, match="enc0.block0.conv1.weight"):
-        load_weights(build(PRESETS["tiny"]), corrupt)
+        model_from_store(corrupt)
 
     bad_shape = read_store(p1)
     bad_shape.tensors["head.weight"] = np.zeros((1, 1, 3, 3), dtype=np.float32)
     with pytest.raises(WeightStoreError, match="head.weight"):
-        load_weights(build(PRESETS["tiny"]), bad_shape)
+        model_from_store(bad_shape)
     report(8, "bit-identical round trip; corrupted name and shape both "
               "detected with tensor named")
 

@@ -321,8 +321,11 @@ class TestSeparate:
             (lambda doc: {k: v for k, v in doc.items() if k != "taps"},
              "filter bank JSON has no 'taps'"),
             (lambda doc: [doc], "filter bank JSON is a list, not an object"),
+            # 8 == 2 * 4.0 passed the weights stage, and separate failed unnamed
+            (lambda doc: {**doc, "num_bands": 4.0}, "num_bands must be an integer, got 4.0"),
+            (lambda doc: {**doc, "taps": 64.0}, "taps must be an integer, got 64.0"),
         ],
-        ids=["no-taps", "list"],
+        ids=["no-taps", "list", "float-bands", "float-taps"],
     )
     def test_malformed_bank_named(self, tmp_path, capsys, fb4, tiny_weights_path, edit,
                                   cause):
@@ -338,8 +341,21 @@ class TestSeparate:
             ({"config_hash": "0", "config": None}, "header has no 'tensors'"),
             ({"config_hash": "0", "config": [], "tensors": []},
              "header's 'config' is not an object"),
+            ({"config_hash": "0", "config": {}, "tensors": [1]},
+             "tensor entry 0 is not an object with a string 'name'"),
+            ({"config_hash": "0", "config": {}, "tensors": [{"name": "a", "offset": 0}]},
+             "tensor 'a' has shape None, expected a list of integers >= 0"),
+            ({"config_hash": "0", "config": {}, "tensors": [{"name": "a", "shape": "abc"}]},
+             "tensor 'a' has shape 'abc', expected a list of integers >= 0"),
+            ({"config_hash": "0", "config": {"blocks_per_level": [1.5, 1]}, "tensors": []},
+             "blocks_per_level must be a sequence of integers >= 1, got [1.5, 1]"),
+            ({"config_hash": "0", "config": {"channels_per_level": [4, -8]}, "tensors": []},
+             "channels_per_level must be a sequence of integers >= 1, got [4, -8]"),
+            ({"config_hash": "0", "config": {"blocks_per_level": 5}, "tensors": []},
+             "blocks_per_level must be a sequence of integers >= 1, got 5"),
         ],
-        ids=["ten-bytes", "no-tensors", "config-list"],
+        ids=["ten-bytes", "no-tensors", "config-list", "int-entry", "no-shape", "string-shape",
+             "float-blocks", "negative-channels", "int-blocks"],
     )
     def test_malformed_store_named(self, tmp_path, capsys, fb_json_path, header, cause):
         if header is None:

@@ -13,13 +13,11 @@ from cwsep.resunet import (
     PRESETS,
     Model,
     ModelConfig,
-    ModelError,
     WeightStore,
     WeightStoreError,
     build,
     count_layers,
     init_random,
-    load_weights,
     model_from_store,
     read_store,
     save_weights,
@@ -59,10 +57,19 @@ class TestBuild:
             ModelConfig(blocks_per_level=(0,), channels_per_level=(4,))
 
     def test_wrong_target_count_rejected(self):
-        cfg = ModelConfig(blocks_per_level=(1,), channels_per_level=(4,),
-                          target_layer_count=999)
-        with pytest.raises(ModelError):
-            build(cfg)
+        with pytest.raises(ValueError, match="999"):
+            ModelConfig(blocks_per_level=(1,), channels_per_level=(4,), target_layer_count=999)
+
+    # test_cli's test_malformed_store_named covers non-integer and non-sequence levels
+    @pytest.mark.parametrize("key, value", [
+        ("in_channels", 8.0),
+        ("out_sources", True),
+        ("out_sources", 0),
+        ("channels_per_level", (4, True)),
+    ])
+    def test_sizes_must_be_integers_of_at_least_one(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            ModelConfig(**{**vars(TINY), key: value})
 
 
 class TestForward:
@@ -359,7 +366,7 @@ class TestWeightStore:
         back = read_store(p1)
         write_store(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        loaded = load_weights(build(TINY), back)
+        loaded = model_from_store(back)
         for k in model.params:
             assert np.array_equal(loaded.params[k], model.params[k])
 
@@ -370,14 +377,14 @@ class TestWeightStore:
             "enc0.block0.conv1.weight"
         )
         with pytest.raises(WeightStoreError, match="conv1.weight"):
-            load_weights(build(TINY), store)
+            model_from_store(store)
 
     def test_shape_mismatch_detected(self):
         model = init_random(build(TINY), seed=14)
         store = save_weights(model)
         store.tensors["head.weight"] = np.zeros((1, 2, 3, 3), dtype=np.float32)
         with pytest.raises(WeightStoreError, match="head.weight"):
-            load_weights(build(TINY), store)
+            model_from_store(store)
 
     @pytest.mark.parametrize("name, expected", [
         ("vocals-276", "8d2c39c819def48a"),
@@ -389,9 +396,10 @@ class TestWeightStore:
         assert PRESETS[name].config_hash() == expected
 
     def test_config_hash_mismatch(self):
-        store = save_weights(build(PRESETS["other-166"]))
+        store = save_weights(build(TINY))
+        store.config["out_sources"] = 2
         with pytest.raises(WeightStoreError, match="hash"):
-            load_weights(build(TINY), store)
+            model_from_store(store)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.cwsw"
@@ -400,17 +408,50 @@ class TestWeightStore:
             read_store(p)
 
     @staticmethod
-    def _store_with_first_entry(tmp_path, **changes):
-        """A tiny store whose first header entry gets `changes`; returns its path and name."""
+    def _edited_store(tmp_path, edit):
+        """A seed-17 tiny store with its JSON header changed in place by `edit`.
+
+        Returns the store's path and the edited header.
+        """
         p = tmp_path / "edited.cwsw"
         write_store(save_weights(init_random(build(TINY), seed=17)), p)
         raw = p.read_bytes()
         (header_len,) = struct.unpack_from("<Q", raw, 8)
         header = json.loads(raw[16 : 16 + header_len])
-        header["tensors"][0].update(changes)
+        edit(header)
         text = json.dumps(header).encode()
         p.write_bytes(raw[:8] + struct.pack("<Q", len(text)) + text + raw[16 + header_len :])
+        return p, header
+
+    @classmethod
+    def _store_with_first_entry(cls, tmp_path, **changes):
+        """A tiny store whose first header entry gets `changes`; returns its path and name."""
+        p, header = cls._edited_store(tmp_path, lambda h: h["tensors"][0].update(changes))
         return p, header["tensors"][0]["name"]
+
+    def test_metadata_key_of_older_stores_ignored(self, tmp_path):
+        # earlier writers put {"metadata": {"source_count": n}} in the header
+        p, _ = self._edited_store(tmp_path, lambda h: h.update(metadata={"source_count": 1}))
+        plain = save_weights(init_random(build(TINY), seed=17))
+        loaded = model_from_store(read_store(p))
+        assert list(loaded.params) == list(plain.tensors)
+        for k, v in plain.tensors.items():
+            assert np.array_equal(loaded.params[k], v)
+
+    def test_load_keeps_one_copy_of_each_tensor(self, tmp_path):
+        # the file's bytes plus one copy per tensor, which the model takes as they are
+        p = tmp_path / "zero.cwsw"
+        write_store(save_weights(build(PRESETS["vocals-276"])), p)
+        tracemalloc.start()
+        try:
+            store = read_store(p)
+            model = model_from_store(store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * p.stat().st_size
+        assert all(model.params[k] is t for k, t in store.tensors.items())
+        assert all(t.flags.aligned and t.flags.writeable for t in store.tensors.values())
 
     @pytest.mark.parametrize("dtype", ["f16", "f64", None])
     def test_non_f32_dtype_rejected(self, tmp_path, dtype):
