@@ -186,25 +186,23 @@ class _CascadeObjective:
         for p in range(N):
             self.target[p, taps - 1 + p] = 1.0
 
-    def _gather(self, p: np.ndarray):
-        return p[self._hi] * self._h_ok, p[self._gi] * self._g_ok
-
     def responses(self, p: np.ndarray) -> np.ndarray:
-        ph, pg = self._gather(p)
-        return np.einsum("pk,kn,pkn->pn", ph, pg, self._coupling)
+        return self._cascade(p)[2]
 
-    def __call__(self, p: np.ndarray) -> float:
-        d = (self.responses(p) - self.target).ravel()
-        return float(np.dot(d, d))
+    def _cascade(self, p: np.ndarray):
+        ph, pg = p[self._hi] * self._h_ok, p[self._gi] * self._g_ok
+        return ph, pg, np.einsum("pk,kn,pkn->pn", ph, pg, self._coupling)
 
-    def gradient(self, p: np.ndarray) -> np.ndarray:
-        """Exact gradient of the objective with respect to the prototype."""
-        ph, pg = self._gather(p)
-        d = 2 * (self.responses(p) - self.target)
+    def __call__(self, p: np.ndarray):
+        """(objective, its exact gradient), from one evaluation of the cascade."""
+        ph, pg, t = self._cascade(p)
+        d = t - self.target
+        err = float(np.dot(d.ravel(), d.ravel()))
+        d = 2 * d
         d_ph = np.einsum("pn,kn,pkn->pk", d, pg, self._coupling) * self._h_ok
         d_pg = np.einsum("pn,pk,pkn->kn", d, ph, self._coupling) * self._g_ok
         taps = len(p)
-        return np.bincount(self._hi.ravel(), d_ph.ravel(), taps) + np.bincount(
+        return err, np.bincount(self._hi.ravel(), d_ph.ravel(), taps) + np.bincount(
             self._gi.ravel(), d_pg.ravel(), taps
         )
 
@@ -231,17 +229,16 @@ def design_filterbank(num_bands: int = 4, taps: int = DEFAULT_TAPS) -> FilterBan
     scale = np.sum(t * objective.target) / np.sum(t * t)
     p = p * np.sqrt(abs(scale))
 
-    err = objective(p)
+    err, grad = objective(p)
     step = INITIAL_STEP
     for _ in range(DEFAULT_ITERATIONS[num_bands]):
-        grad = objective.gradient(p)
         while True:
             p_next = p - step * grad
-            err_next = objective(p_next)
+            err_next, grad_next = objective(p_next)
             if err_next < err or step < 1e-14:
                 break
             step *= 0.5
-        p, err = p_next, err_next
+        p, err, grad = p_next, err_next, grad_next
         step *= 1.2
 
     if err > CONVERGENCE_THRESHOLD:

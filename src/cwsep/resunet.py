@@ -94,11 +94,12 @@ class ModelConfig:
             )
         if len(self.blocks_per_level) == 0:
             raise ValueError("at least one level required")
+        target = self.target_layer_count
+        if target is not None and (type(target) is not int or target < 1):
+            raise ValueError(f"target_layer_count must be None or an integer >= 1, got {target!r}")
         n = count_layers(self)
-        if self.target_layer_count is not None and n != self.target_layer_count:
-            raise ValueError(
-                f"config targets {self.target_layer_count} conv layers but builds {n}"
-            )
+        if target is not None and n != target:
+            raise ValueError(f"config targets {target} conv layers but builds {n}")
 
     @property
     def num_levels(self) -> int:
@@ -410,24 +411,22 @@ class WeightStore:
 def save_weights(model: Model) -> WeightStore:
     return WeightStore(
         config_hash=model.config.config_hash(),
-        tensors={k: v.astype(np.float32) for k, v in model.params.items()},
+        tensors={k: np.asarray(v, dtype=np.float32) for k, v in model.params.items()},
         config=asdict(model.config),
     )
 
 
 def write_store(store: WeightStore, path) -> None:
     """CWSW container: magic, u32 version, u64 header length, JSON header,
-    then raw little-endian f32 tensor data in header order."""
+    then raw little-endian f32 tensor data in header order, each tensor
+    written from its own buffer (copied only if not contiguous <f4)."""
     entries = []
     offset = 0
-    blobs = []
     for name, tensor in store.tensors.items():
-        data = np.ascontiguousarray(tensor, dtype="<f4").tobytes()
         entries.append(
             {"name": name, "shape": list(tensor.shape), "dtype": "f32", "offset": offset}
         )
-        blobs.append(data)
-        offset += len(data)
+        offset += 4 * tensor.size
     header = {
         "config_hash": store.config_hash,
         "config": store.config,
@@ -439,8 +438,8 @@ def write_store(store: WeightStore, path) -> None:
         f.write(struct.pack("<I", STORE_VERSION))
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
-        for blob in blobs:
-            f.write(blob)
+        for tensor in store.tensors.values():
+            f.write(np.ascontiguousarray(tensor, dtype="<f4"))
 
 
 def read_store(path) -> WeightStore:
@@ -458,7 +457,10 @@ def read_store(path) -> WeightStore:
     data_start = header_start + header_len
     if data_start > len(raw):
         raise WeightStoreError(f"{path}: truncated header")
-    header = json.loads(raw[header_start:data_start].decode())
+    try:
+        header = json.loads(raw[header_start:data_start].decode())
+    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+        raise WeightStoreError(f"{path}: header is not UTF-8 JSON: {e}") from None
     if not isinstance(header, dict):
         raise WeightStoreError(f"{path}: header is a {type(header).__name__}, not an object")
     for key in ("config_hash", "config", "tensors"):

@@ -353,15 +353,17 @@ class TestSeparate:
              "channels_per_level must be a sequence of integers >= 1, got [4, -8]"),
             ({"config_hash": "0", "config": {"blocks_per_level": 5}, "tensors": []},
              "blocks_per_level must be a sequence of integers >= 1, got 5"),
+            (b"{not json", "header is not UTF-8 JSON"),
+            (b"\xff\xfe", "header is not UTF-8 JSON"),
         ],
         ids=["ten-bytes", "no-tensors", "config-list", "int-entry", "no-shape", "string-shape",
-             "float-blocks", "negative-channels", "int-blocks"],
+             "float-blocks", "negative-channels", "int-blocks", "not-json", "not-utf8"],
     )
     def test_malformed_store_named(self, tmp_path, capsys, fb_json_path, header, cause):
         if header is None:
             raw = b"CWSW" + struct.pack("<I", 1) + bytes(2)
         else:
-            text = json.dumps(header).encode()
+            text = header if isinstance(header, bytes) else json.dumps(header).encode()
             raw = b"CWSW" + struct.pack("<IQ", 1, len(text)) + text
         weights = tmp_path / "bad.cwsw"
         weights.write_bytes(raw)

@@ -66,6 +66,10 @@ class TestBuild:
         ("out_sources", True),
         ("out_sources", 0),
         ("channels_per_level", (4, True)),
+        # tiny builds 15 convs, so "15" and 15.0 would pass a check of the count alone
+        ("target_layer_count", "15"),
+        ("target_layer_count", 15.0),
+        ("target_layer_count", True),
     ])
     def test_sizes_must_be_integers_of_at_least_one(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -406,6 +410,20 @@ class TestWeightStore:
         p.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(WeightStoreError):
             read_store(p)
+
+    def test_write_keeps_no_copy_of_tensors(self, tmp_path):
+        # each tensor is written from its own buffer: no bytes copy, no float32 copy
+        model = build(PRESETS["vocals-276"])
+        weight_bytes = sum(v.nbytes for v in model.params.values())
+        tracemalloc.start()
+        try:
+            store = save_weights(model)
+            write_store(store, tmp_path / "zero.cwsw")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * weight_bytes
+        assert all(store.tensors[k] is v for k, v in model.params.items())
 
     @staticmethod
     def _edited_store(tmp_path, edit):
