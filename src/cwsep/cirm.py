@@ -24,6 +24,7 @@ import numpy as np
 from .spectral import MagPhase
 
 DEFAULT_EPS = 1e-8
+_FIELDS = ("mask_logits", "phase_real", "phase_imag", "mag_residual")
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class NetworkOutput:
 
     def __post_init__(self):
         shape = np.asarray(self.mask_logits).shape
-        for name in ("mask_logits", "phase_real", "phase_imag", "mag_residual"):
+        for name in _FIELDS:
             t = np.asarray(getattr(self, name))
             if t.shape != shape:
                 raise ValueError(f"{name} has shape {t.shape}, expected {shape}")
@@ -56,6 +57,22 @@ def _check_shapes(mix: MagPhase, out: NetworkOutput):
         raise ValueError(
             f"network output shape {out.shape} != mixture shape {mix.magnitude.shape}"
         )
+
+
+def frame_views(mix: MagPhase, out: NetworkOutput, blocks) -> list:
+    """(MagPhase, NetworkOutput) views of frames lo:hi, axis 1, for each (lo, hi) in blocks.
+
+    The shapes are checked here, once for all blocks, and the views are
+    not scanned for NaN/Inf again: `out` was scanned when it was built.
+    """
+    _check_shapes(mix, out)
+    views = []
+    for lo, hi in blocks:
+        part = object.__new__(NetworkOutput)
+        for name in _FIELDS:
+            object.__setattr__(part, name, getattr(out, name)[:, lo:hi])
+        views.append((MagPhase(mix.magnitude[:, lo:hi], mix.phase[:, lo:hi]), part))
+    return views
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

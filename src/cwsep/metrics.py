@@ -43,39 +43,55 @@ def _energy(a: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, a))
 
 
-def _sdr(ref_energy: float, ref: np.ndarray, est: np.ndarray) -> float:
-    """SDR of est against a float64 ref whose energy the caller measured."""
-    err_energy = _energy(ref - est)
+def _sdr(ref_energy: float, err_energy: float) -> float:
     if err_energy == 0.0:
         return SDR_CAP_DB
     return float(min(10 * np.log10(ref_energy / err_energy), SDR_CAP_DB))
 
 
+def _frame_len(w: Waveform) -> int:
+    return int(round(FRAME_SECONDS * w.sample_rate))
+
+
+def _frame_energies(reference: Waveform, estimate: Waveform) -> np.ndarray:
+    """[2, blocks]: float64 reference and error energy of each FRAME_SECONDS block.
+
+    The last block takes what is left and may be shorter. Each block is
+    cast on its own, so no whole-track float64 copy is made.
+    """
+    _check_shapes(reference, estimate)
+    step = _frame_len(reference)
+    starts = range(0, reference.num_samples, step)
+    energies = np.empty((2, len(starts)))
+    for k, start in enumerate(starts):
+        r = reference.samples[:, start : start + step].astype(np.float64)
+        energies[0, k] = _energy(r)
+        r -= estimate.samples[:, start : start + step]
+        energies[1, k] = _energy(r)
+    return energies
+
+
+def _global_sdr(energies: np.ndarray) -> float:
+    ref_energy, err_energy = energies.sum(axis=1)
+    if ref_energy == 0.0:
+        raise MetricsError("reference has zero energy")
+    return _sdr(ref_energy, err_energy)
+
+
 def sdr_global(reference: Waveform, estimate: Waveform) -> float:
     """Energy-ratio SDR in dB, capped at +300 for exact matches."""
-    _check_shapes(reference, estimate)
-    ref = np.asarray(reference.samples, dtype=np.float64)
-    if not np.any(ref):
-        raise MetricsError("reference has zero energy")
-    return _sdr(_energy(ref), ref, estimate.samples)
+    return _global_sdr(_frame_energies(reference, estimate))
 
 
-def _frame_sdrs(reference: Waveform, estimate: Waveform) -> list:
-    """SDR of each non-overlapping FRAME_SECONDS frame whose reference is not silent."""
-    _check_shapes(reference, estimate)
-    frame_len = int(round(FRAME_SECONDS * reference.sample_rate))
-    if reference.num_samples < frame_len:
+def _frame_sdrs(reference: Waveform, energies: np.ndarray) -> list:
+    """SDR of each whole FRAME_SECONDS frame whose reference is not silent."""
+    frame_len = _frame_len(reference)
+    whole = reference.num_samples // frame_len
+    if whole == 0:
         raise MetricsError(
             f"signal shorter than one {FRAME_SECONDS} s frame ({frame_len} samples)"
         )
-    ref = np.asarray(reference.samples, dtype=np.float64)
-    values = []
-    for start in range(0, reference.num_samples - frame_len + 1, frame_len):
-        r = ref[:, start : start + frame_len]
-        energy = _energy(r)
-        if energy < SILENCE_ENERGY:
-            continue
-        values.append(_sdr(energy, r, estimate.samples[:, start : start + frame_len]))
+    values = [_sdr(r, e) for r, e in energies[:, :whole].T if r >= SILENCE_ENERGY]
     if not values:
         raise MetricsError("all frames have a silent reference")
     return values
@@ -83,15 +99,16 @@ def _frame_sdrs(reference: Waveform, estimate: Waveform) -> list:
 
 def sdr_framewise_median(reference: Waveform, estimate: Waveform) -> float:
     """Median SDR over non-overlapping frames, skipping silent-reference frames."""
-    return float(np.median(_frame_sdrs(reference, estimate)))
+    return float(np.median(_frame_sdrs(reference, _frame_energies(reference, estimate))))
 
 
 def evaluation_report(
     reference: Waveform, estimate: Waveform, track: str = "", source: str = ""
 ) -> dict:
     """JSON-ready report with global and framewise-median SDR."""
-    sdr = sdr_global(reference, estimate)
-    frames = _frame_sdrs(reference, estimate)
+    energies = _frame_energies(reference, estimate)
+    sdr = _global_sdr(energies)
+    frames = _frame_sdrs(reference, energies)
     return {
         "track": track,
         "source": source,

@@ -3,14 +3,16 @@
 The filterbank runs once per track: the whole input is analysed, the
 band streams are cut into 10 s segments (rectangular, no overlap) for
 the network stage only (STFT -> network -> complex-mask reconstruction
--> iSTFT), each segment writes its columns of one float32 [sources,
-channels * bands, length] estimate array, and each source is
-synthesised once from it and cut at the filterbank delay. Segments run
-independently on a thread pool of `workers` threads, so the output does
-not depend on the number of workers; the filterbank never sees a
-segment boundary. Every forward pass gets the same pool and spreads its
-convs over the threads no segment is using. numpy's bundled OpenBLAS is
-held at one thread meanwhile, so the pool's threads are the only ones.
+-> iSTFT, the last two per source in blocks of spectral.InverseStft's
+frames, so no whole-segment masked spectrogram is built), each segment
+writes its columns of one float32 [channels * bands, length] estimate
+array per source, and each source is synthesised once from its array,
+which is then freed, and cut at the filterbank delay. Segments run independently on a thread pool of
+`workers` threads, so the output does not depend on the number of
+workers; the filterbank never sees a segment boundary. Every forward
+pass gets the same pool and spreads its convs over the threads no
+segment is using. numpy's bundled OpenBLAS is held at one thread
+meanwhile, so the pool's threads are the only ones.
 
 A model has `out_sources` and `forward(mag, pool=None)`, which maps a
 float32 magnitude [channels * bands, frames, spectral.BINS] to a
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import filterbank as fbmod
 from . import spectral
-from .cirm import apply_cirm, identity_output
+from .cirm import apply_cirm, frame_views, identity_output
 from .filterbank import FilterBank
 from .wave_io import Waveform
 
@@ -150,7 +152,8 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
     step = seg_len // fb.num_bands
     # the last segment also takes the tail past count * step
     bounds = [k * step for k in range(count)] + [streams.shape[1]]
-    estimates = np.empty((model.out_sources, *streams.shape), dtype=np.float32)
+    # one float32 array per source, so each is freed once synthesised
+    estimates = [np.empty(streams.shape, np.float32) for _ in range(model.out_sources)]
 
     def network(k):
         stage = "stft"
@@ -163,23 +166,28 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
                 raise ValueError(f"{len(outs)} outputs for out_sources = {model.out_sources}")
             for est, out in zip(estimates, outs):
                 stage = "cirm"
-                masked = apply_cirm(mix, out)
-                stage = "istft"
-                est[:, lo:hi] = spectral.istft(masked, hi - lo)
-                del masked  # free it before the next source's mask
+                inverse = spectral.InverseStft(*mix.magnitude.shape[:2], mix.magnitude.dtype)
+                for block_mix, block_out in frame_views(mix, out, inverse.blocks):
+                    stage = "cirm"
+                    masked = apply_cirm(block_mix, block_out)
+                    stage = "istft"
+                    inverse.add(masked)
+                inverse.write(est[:, lo:hi])
         except Exception as e:
             raise PipelineError(
                 f"segment {k} (from {k * SEGMENT_SECONDS:g} s), {stage}: {e}"
             ) from e
 
-    def synthesize(bands):
+    def synthesize(source):
+        bands, estimates[source] = estimates[source], None
         y = fbmod.synthesis(bands.reshape(channels, fb.num_bands, -1), fb, PIPELINE_RATE).samples
         return Waveform(y[:, fb.system_delay : fb.system_delay + n], PIPELINE_RATE)
 
     threads = workers or _usable_cpus()
     with _ONE_BLAS_THREAD.hold(), ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(network, range(count)))
-        return list(pool.map(synthesize, estimates))
+        del streams  # the band streams are spent before synthesis adds its outputs
+        return list(pool.map(synthesize, range(model.out_sources)))
 
 
 def instrumental_residual(mixture: Waveform, vocals: Waveform) -> Waveform:

@@ -62,13 +62,16 @@ _FMT_IEEE_FLOAT = 3
 _FMT_EXTENSIBLE = 0xFFFE
 # bytes 2..15 of every KSDATAFORMAT_SUBTYPE_* GUID; bytes 0..1 hold the format tag
 _KSDATAFORMAT_SUFFIX = bytes.fromhex("000000001000800000aa00389b71")
+# frames encoded per write: 512 KiB of stereo float32
+WRITE_BLOCK_FRAMES = 1 << 16
 
 
 def read_wav(path) -> Waveform:
     """Read a WAV file into a float32 Waveform.
 
     PCM samples are divided by 2^(bits-1), which is exact in float32 for
-    16 and 24 bit; float data is passed through.
+    16 and 24 bit; float data is passed through. The samples are decoded
+    straight from the file's bytes into the one float32 array returned.
     Unknown chunks are skipped. Raises a WavError subclass naming the
     failure for unreadable files.
     """
@@ -79,7 +82,7 @@ def read_wav(path) -> Waveform:
         raise MalformedWavError(f"{path}: not a RIFF/WAVE file")
 
     fmt = None
-    data = None
+    data = None  # (offset, size) of the data chunk's body
     pos = 12
     while pos + 8 <= len(raw):
         cid = raw[pos : pos + 4]
@@ -95,7 +98,7 @@ def read_wav(path) -> Waveform:
                     f"{path}: data chunk declares {size} bytes, "
                     f"only {len(raw) - body_start} present"
                 )
-            data = raw[body_start : body_start + size]
+            data = (body_start, size)
         # chunks are word-aligned
         pos = body_start + size + (size & 1)
 
@@ -117,63 +120,70 @@ def read_wav(path) -> Waveform:
     if sample_rate <= 0:
         raise MalformedWavError(f"{path}: bad sample rate {sample_rate}")
 
-    if audio_format == _FMT_PCM and bits == 16:
-        x = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2").astype(np.float32)
-        x /= 2.0**15
-    elif audio_format == _FMT_PCM and bits == 24:
-        usable = len(data) - len(data) % 3
-        b = np.frombuffer(data[:usable], dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        v = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        v = np.where(v >= 1 << 23, v - (1 << 24), v)
-        x = v.astype(np.float32) / 2.0**23
+    if audio_format == _FMT_PCM and bits in (16, 24):
+        scale = 2.0 ** (1 - bits)
     elif audio_format == _FMT_IEEE_FLOAT and bits == 32:
-        x = np.frombuffer(data[: len(data) - len(data) % 4], dtype="<f4").astype(np.float32)
+        scale = 1.0
     else:
         raise UnsupportedWavError(
             f"{path}: unsupported codec (format tag {audio_format}, {bits} bit)"
         )
 
-    frames = len(x) // channels
-    samples = x[: frames * channels].reshape(frames, channels).T
-    return Waveform(np.ascontiguousarray(samples), sample_rate)
+    offset, size = data
+    frames = size // (bits // 8 * channels)
+    count = frames * channels
+    if bits == 24:
+        # each 3-byte sample in the top three bytes of an int32: 2^8 times its value
+        wide = np.zeros((count, 4), np.uint8)
+        wide[:, 1:] = np.frombuffer(raw, np.uint8, 3 * count, offset).reshape(count, 3)
+        values, scale = wide.view("<i4"), scale / 2**8
+    else:
+        values = np.frombuffer(raw, "<i2" if bits == 16 else "<f4", count, offset)
+    samples = np.empty((channels, frames), np.float32)
+    np.multiply(values.reshape(frames, channels).T, scale, out=samples)
+    return Waveform(samples, sample_rate)
 
 
 def write_wav(w: Waveform, path, format: str = "pcm16") -> None:
     """Write a Waveform as 'pcm16' or 'float32'.
 
     pcm16 rounds half away from zero and clamps to [-1, 1 - 2^-15];
-    float32 is lossless up to f32 precision.
+    float32 is lossless up to f32 precision. Samples are encoded and
+    written WRITE_BLOCK_FRAMES frames at a time, so no whole-track copy
+    is made.
     """
     if format not in ("pcm16", "float32"):
         raise ValueError(f"format must be 'pcm16' or 'float32', got {format!r}")
-    if not np.all(np.isfinite(w.samples)):
+    starts = range(0, w.num_samples, WRITE_BLOCK_FRAMES)
+    blocks = [w.samples[:, s : s + WRITE_BLOCK_FRAMES] for s in starts]
+    if not all(np.all(np.isfinite(b)) for b in blocks):
         raise WavError("refusing to write NaN/Inf samples")
 
-    interleaved = np.ascontiguousarray(w.samples.T)  # [frames, channels]
     if format == "pcm16":
-        v = interleaved * 2.0**15
-        q = np.sign(v) * np.floor(np.abs(v) + 0.5)  # round half away from zero
-        q = np.clip(q, -32768, 32767)
-        payload = q.astype("<i2").tobytes()
-        audio_format, bits = _FMT_PCM, 16
+        dtype, audio_format, bits = "<i2", _FMT_PCM, 16
     else:
-        payload = interleaved.astype("<f4").tobytes()
-        audio_format, bits = _FMT_IEEE_FLOAT, 32
-
+        dtype, audio_format, bits = "<f4", _FMT_IEEE_FLOAT, 32
     channels = w.num_channels
     block_align = channels * bits // 8
     byte_rate = w.sample_rate * block_align
+    data_bytes = w.num_samples * block_align
     header = (
         b"RIFF"
-        + struct.pack("<I", 4 + 8 + 16 + 8 + len(payload))
+        + struct.pack("<I", 4 + 8 + 16 + 8 + data_bytes)
         + b"WAVE"
         + b"fmt "
         + struct.pack("<IHHIIHH", 16, audio_format, channels, w.sample_rate, byte_rate, block_align, bits)
         + b"data"
-        + struct.pack("<I", len(payload))
+        + struct.pack("<I", data_bytes)
     )
     with open(path, "wb") as f:
         f.write(header)
-        f.write(payload)
-        if len(payload) & 1:
+        for block in blocks:
+            frames = block.T  # [frames, channels]: interleaved once made contiguous
+            if format == "pcm16":
+                v = frames * 2.0**15
+                q = np.sign(v) * np.floor(np.abs(v) + 0.5)  # round half away from zero
+                frames = np.clip(q, -32768, 32767)
+            f.write(np.ascontiguousarray(frames, dtype=dtype))
+        if data_bytes & 1:
             f.write(b"\x00")

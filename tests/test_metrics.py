@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,34 @@ def test_evaluation_report_fields():
     assert rep["source"] == "s"
     assert rep["frames_used"] == 2
     assert abs(rep["sdr_global_db"] - 20.0) <= 1e-9
+
+
+@pytest.mark.parametrize("metric", [sdr_global, sdr_framewise_median])
+def test_no_whole_track_float64_copies(metric):
+    # 60.5 s of float32 stereo, the last 1 s block partial: whole-track
+    # float64 copies of the reference and of the error read 4x the
+    # sample bytes
+    rng = np.random.default_rng(19)
+    ref = rng.standard_normal((2, 60 * 44100 + 22050)).astype(np.float32)
+    est = (ref + 0.1 * rng.standard_normal(ref.shape)).astype(np.float32)
+    a, b = Waveform(ref, 44100), Waveform(est, 44100)
+    tracemalloc.start()
+    try:
+        got = metric(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * ref.nbytes
+    r, e = ref.astype(np.float64), est.astype(np.float64)
+    if metric is sdr_global:
+        oracle = 10 * np.log10(np.sum(r**2) / np.sum((r - e) ** 2))
+    else:
+        frames = [slice(k * 44100, (k + 1) * 44100) for k in range(60)]
+        oracle = np.median([
+            10 * np.log10(np.sum(r[:, f] ** 2) / np.sum((r[:, f] - e[:, f]) ** 2))
+            for f in frames
+        ])
+    assert abs(got - oracle) <= 1e-9
 
 
 @pytest.mark.parametrize("metric", [

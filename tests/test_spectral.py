@@ -1,9 +1,31 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from cwsep import spectral
 from cwsep.spectral import istft, stft_streams, to_magphase
 
 BAND_RATE = 11025
+# frame-block budgets: one frame per block, the default, one block for everything
+BLOCK_BYTES = [1, spectral.FRAME_BLOCK_BYTES, 1 << 40]
+
+
+def reference_istft(spec, out_length):
+    """Whole-array weighted overlap-add in frame order: the arithmetic istft must keep."""
+    frames = np.fft.irfft(spec, n=512, axis=2)
+    win = (0.5 - 0.5 * np.cos(2 * np.pi * np.arange(512) / 512)).astype(frames.dtype)
+    frames *= win
+    buf_len = 512 + (spec.shape[1] - 1) * 110
+    out = np.zeros((spec.shape[0], buf_len), frames.dtype)
+    norm = np.zeros(buf_len, frames.dtype)
+    for t in range(spec.shape[1]):
+        out[:, t * 110 : t * 110 + 512] += frames[:, t]
+        norm[t * 110 : t * 110 + 512] += win**2
+    out /= np.maximum(norm, 1e-8)
+    return out[:, 256 : 256 + out_length]
 
 
 def subband_noise(seconds=2.0, channels=2, bands=4, seed=0, amp=0.1, dtype=np.float64):
@@ -42,6 +64,33 @@ class TestStft:
         interior = range(6, spec.shape[1] - 6)
         for frame in interior:
             assert np.argmax(mags[frame]) == k
+
+    def test_float64_is_the_unnormalised_rfft_bit_for_bit(self, monkeypatch):
+        x = subband_noise(seconds=2.0)
+        win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(512) / 512)
+        framed = sliding_window_view(np.pad(x, ((0, 0), (256, 256))), 512, axis=1)[:, ::110]
+        oracle = np.fft.rfft(framed * win, axis=2)
+        for block_bytes in BLOCK_BYTES:
+            monkeypatch.setattr(spectral, "FRAME_BLOCK_BYTES", block_bytes)
+            spec = stft_streams(x)
+            assert spec.dtype == np.complex128
+            assert np.array_equal(spec, oracle)
+
+    def test_float32_runs_in_float32(self):
+        # 10 s of 16 band streams at 8 bands (5512.5 Hz): numpy's default
+        # rfft ran the float64 loop on the whole framed array and peaked
+        # at 6.2x the result's bytes; float32 blocks peak at 1.3x
+        x = subband_noise(seconds=5.0, channels=2, bands=8, seed=3, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            spec = stft_streams(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.dtype == np.complex64
+        assert peak <= 1.5 * spec.nbytes
+        ref = stft_streams(x.astype(np.float64))
+        assert np.max(np.abs(spec - ref)) <= 1e-6 * np.max(np.abs(ref))
 
     def test_parseval(self):
         rng = np.random.default_rng(4)
@@ -82,6 +131,27 @@ class TestIstft:
         assert y.dtype == np.float32
         err = np.abs(y.astype(np.float64) - sb.astype(np.float64))
         assert np.max(err[:, 512:-512]) <= 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_blocks_keep_the_whole_array_arithmetic(self, monkeypatch, dtype):
+        spec = stft_streams(subband_noise(seconds=3.0, seed=8)).astype(dtype)
+        oracle = reference_istft(spec, 30000)
+        for block_bytes in BLOCK_BYTES:
+            monkeypatch.setattr(spectral, "FRAME_BLOCK_BYTES", block_bytes)
+            y = istft(spec, 30000)
+            assert y.dtype == oracle.dtype
+            assert np.array_equal(y, oracle)
+
+    def test_inverse_takes_every_frame_once(self):
+        spec = np.zeros((2, 20, 257), dtype=np.complex64)
+        inverse = spectral.InverseStft(2, 20, np.float32)
+        inverse.add(spec[:, :15])
+        with pytest.raises(ValueError, match="15 of 20 frames"):
+            inverse.write(np.empty((2, 1000), np.float32))
+        with pytest.raises(ValueError, match="30 frames added to a 20-frame"):
+            inverse.add(spec[:, :15])
+        with pytest.raises(ValueError, match=r"must be \[2, frames, 257\]"):
+            inverse.add(spec[:1, 15:])
 
     def test_zero_spectrogram(self):
         spec = np.zeros((2, 20, 257), dtype=complex)
@@ -129,6 +199,28 @@ class TestMagPhase:
         mp = to_magphase(data)
         norm = np.abs(mp.phase) ** 2
         assert np.max(np.abs(norm[mp.magnitude > 0] - 1.0)) <= 1e-6
+
+    def test_phase_is_the_quotient_bit_for_bit(self):
+        spec = stft_streams(subband_noise(seconds=2.0, seed=9, dtype=np.float32))
+        mag = np.abs(spec)
+        oracle = np.ones_like(spec)
+        np.divide(spec, mag, out=oracle, where=mag > 0)
+        mp = to_magphase(spec)
+        assert np.array_equal(mp.magnitude, mag)
+        assert np.array_equal(mp.phase, oracle)
+
+    def test_silent_frames_do_not_warn(self):
+        x = subband_noise(seconds=2.0, seed=10, dtype=np.float32)
+        x[:, :3000] = 0
+        spec = stft_streams(x)
+        silent = np.abs(spec) == 0
+        assert silent[:, :20].all()
+        spec[0, 0, 0] = 1e-39j  # subnormal: 1 / |spec| overflows float32
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mp = to_magphase(spec)
+        assert np.array_equal(mp.phase[silent], np.ones(np.count_nonzero(silent), np.complex64))
+        assert np.all(np.isfinite(mp.phase))
 
 
 def test_bin_count_invariant():

@@ -1,8 +1,11 @@
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cwsep import wave_io
 from cwsep.wave_io import (
     MalformedWavError,
     TruncatedWavError,
@@ -159,6 +162,63 @@ def test_round_trip_preserves_layout(tmp_path, fmt):
     assert back.num_samples == 5000
     step = 2.0**-15 if fmt == "pcm16" else 2.0**-23
     assert np.max(np.abs(back.samples - w.samples)) <= step
+
+
+def edge_signal():
+    """Seeded stereo with pcm16 rounding ties, both clamp edges and signed zeros."""
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1.2, 1.2, size=(2, 3001))
+    x[0, :80] = (np.arange(-40, 40) + 0.5) / 2**15
+    x[1, :6] = [1.0, -1.0, 1 - 2**-16, -1 - 2**-16, 0.0, -0.0]
+    return x
+
+
+# sha256 prefixes of the files written by whole-track encoding (one
+# interleaved copy, astype, tobytes) for (sample dtype, channels, format)
+WRITTEN_SHA256 = {
+    ("float64", 1, "pcm16"): "e7b3609ac3273b5c",
+    ("float64", 1, "float32"): "2e41d33f9a8d41c9",
+    ("float64", 2, "pcm16"): "d612166f19f8c134",
+    ("float64", 2, "float32"): "f83f42c1a1d0fee6",
+    ("float32", 1, "pcm16"): "a0cb86ac8da3d084",
+    ("float32", 1, "float32"): "2e41d33f9a8d41c9",
+    ("float32", 2, "pcm16"): "8ae27b81607517f3",
+    ("float32", 2, "float32"): "f83f42c1a1d0fee6",
+}
+
+
+@pytest.mark.parametrize("block_frames", [wave_io.WRITE_BLOCK_FRAMES, 1000, 1])
+@pytest.mark.parametrize("key", sorted(WRITTEN_SHA256))
+def test_written_bytes_are_fixed(tmp_path, monkeypatch, key, block_frames):
+    dtype, channels, fmt = key
+    monkeypatch.setattr(wave_io, "WRITE_BLOCK_FRAMES", block_frames)
+    p = tmp_path / "e.wav"
+    write_wav(Waveform(edge_signal()[:channels].astype(dtype), 44100), p, format=fmt)
+    assert hashlib.sha256(p.read_bytes()).hexdigest()[:16] == WRITTEN_SHA256[key]
+
+
+@pytest.mark.parametrize("fmt, read_bound", [("float32", 1.4), ("pcm16", 0.9)])
+def test_no_whole_track_copies(tmp_path, fmt, read_bound):
+    # 60 s of float32 stereo. Whole-track interleaving, astype and
+    # tobytes read 3x (float32) and 5x (pcm16) the sample bytes on
+    # writing; slicing, astype and transposing read 4.25x and 3.25x on
+    # reading. A write now holds a few encoded blocks, a read the file's
+    # bytes, the float32 samples it returns and their finite check.
+    rng = np.random.default_rng(12)
+    w = Waveform(rng.uniform(-0.9, 0.9, size=(2, 60 * 44100)).astype(np.float32), 44100)
+    p = tmp_path / "m.wav"
+    tracemalloc.start()
+    try:
+        write_wav(w, p, format=fmt)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = read_wav(p)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert write_peak <= 0.25 * w.samples.nbytes
+    assert read_peak - back.samples.nbytes <= read_bound * w.samples.nbytes
+    assert back.samples.flags.c_contiguous
 
 
 def test_truncated_data_chunk_rejected(tmp_path):
