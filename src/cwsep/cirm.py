@@ -59,19 +59,19 @@ def _check_shapes(mix: MagPhase, out: NetworkOutput):
         )
 
 
-def frame_views(mix: MagPhase, out: NetworkOutput, blocks) -> list:
-    """(MagPhase, NetworkOutput) views of frames lo:hi, axis 1, for each (lo, hi) in blocks.
+def frame_views(mix: MagPhase, out: NetworkOutput):
+    """views(lo, hi) -> (MagPhase, NetworkOutput) views of frames lo:hi, axis 1.
 
-    The shapes are checked here, once for all blocks, and the views are
+    The shapes are checked here, once for every view, and the views are
     not scanned for NaN/Inf again: `out` was scanned when it was built.
     """
     _check_shapes(mix, out)
-    views = []
-    for lo, hi in blocks:
+    def views(lo, hi):
         part = object.__new__(NetworkOutput)
         for name in _FIELDS:
             object.__setattr__(part, name, getattr(out, name)[:, lo:hi])
-        views.append((MagPhase(mix.magnitude[:, lo:hi], mix.phase[:, lo:hi]), part))
+        return MagPhase(mix.magnitude[:, lo:hi], mix.phase[:, lo:hi]), part
+
     return views
 
 

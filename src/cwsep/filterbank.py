@@ -216,8 +216,10 @@ def design_filterbank(num_bands: int = 4, taps: int = DEFAULT_TAPS) -> FilterBan
     budget from DEFAULT_ITERATIONS. Raises DesignError when the final
     objective stays above the convergence threshold.
     """
-    if num_bands not in SUPPORTED_BANDS:
+    if not isinstance(num_bands, (int, np.integer)) or num_bands not in SUPPORTED_BANDS:
         raise ValueError(f"num_bands must be one of {SUPPORTED_BANDS}, got {num_bands}")
+    if type(taps) is bool or not isinstance(taps, (int, np.integer)) or taps <= 0:
+        raise ValueError(f"taps must be a positive integer, got {taps!r}")
     if taps % (2 * num_bands) != 0:
         raise ValueError(f"taps must be a multiple of {2 * num_bands}, got {taps}")
 

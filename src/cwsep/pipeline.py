@@ -2,17 +2,19 @@
 
 The filterbank runs once per track: the whole input is analysed, the
 band streams are cut into 10 s segments (rectangular, no overlap) for
-the network stage only (STFT -> network -> complex-mask reconstruction
--> iSTFT, the last two per source in blocks of spectral.InverseStft's
-frames, so no whole-segment masked spectrogram is built), each segment
-writes its columns of one float32 [channels * bands, length] estimate
-array per source, and each source is synthesised once from its array,
-which is then freed, and cut at the filterbank delay. Segments run independently on a thread pool of
-`workers` threads, so the output does not depend on the number of
-workers; the filterbank never sees a segment boundary. Every forward
-pass gets the same pool and spreads its convs over the threads no
-segment is using. numpy's bundled OpenBLAS is held at one thread
-meanwhile, so the pool's threads are the only ones.
+the network stage only: STFT -> network -> complex-mask reconstruction
+-> iSTFT. spectral.istft asks apply_cirm for one frame block at a time,
+so no whole-segment masked spectrogram is built. Each segment writes
+its columns of one float32 [channels * bands, length] estimate array
+per source. Each source is synthesised once from its array, which is
+then freed, and cut at the filterbank delay.
+
+Segments run independently on a thread pool of `workers` threads, so
+the output does not depend on the number of workers; the filterbank
+never sees a segment boundary. Every forward pass gets the same pool
+and spreads its convs over the threads no segment is using. numpy's
+bundled OpenBLAS is held at one thread meanwhile, so the pool's threads
+are the only ones.
 
 A model has `out_sources` and `forward(mag, pool=None)`, which maps a
 float32 magnitude [channels * bands, frames, spectral.BINS] to a
@@ -126,8 +128,9 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
     before any work); numpy's OpenBLAS is held at one thread meanwhile.
     Output order and values are independent of scheduling. A failing
     segment raises PipelineError naming its index, start time and stage
-    (stft, forward, cirm or istft); a forward pass that returns other
-    than `model.out_sources` outputs fails in its forward stage.
+    (stft, forward, cirm: output shapes, or istft: a source's decode); a
+    forward pass that returns other than `model.out_sources` outputs
+    fails in its forward stage.
     """
     if workers < 0:
         raise PipelineError(f"workers must be >= 0 (0 = one per CPU), got {workers}")
@@ -164,15 +167,12 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
             outs = model.forward(mix.magnitude, pool)
             if len(outs) != model.out_sources:
                 raise ValueError(f"{len(outs)} outputs for out_sources = {model.out_sources}")
+            frames = mix.magnitude.shape[1]
             for est, out in zip(estimates, outs):
                 stage = "cirm"
-                inverse = spectral.InverseStft(*mix.magnitude.shape[:2], mix.magnitude.dtype)
-                for block_mix, block_out in frame_views(mix, out, inverse.blocks):
-                    stage = "cirm"
-                    masked = apply_cirm(block_mix, block_out)
-                    stage = "istft"
-                    inverse.add(masked)
-                inverse.write(est[:, lo:hi])
+                views = frame_views(mix, out)
+                stage = "istft"
+                spectral.istft(lambda f0, f1: apply_cirm(*views(f0, f1)), frames, est[:, lo:hi])
         except Exception as e:
             raise PipelineError(
                 f"segment {k} (from {k * SEGMENT_SECONDS:g} s), {stage}: {e}"

@@ -11,8 +11,9 @@ the inverse uses weighted overlap-add with window-squared normalization
 A spectrogram is a plain complex ndarray [channels, frames, BINS]. Its
 entries are not scanned for NaN/Inf here: in the pipeline every
 spectrogram is computed from a checked Waveform or NetworkOutput. Every
-transform follows its input precision, in its results and its
-arithmetic: float32 streams give complex64 spectrograms and back. numpy
+transform follows its data's precision, in its results and its
+arithmetic: float32 streams give complex64 spectrograms, and istft runs
+in its output array's dtype. numpy
 (2.0 to 2.4 at least) runs `rfft` with the default norm in pocketfft's
 float64 loop even for float32 input and rounds the result, so
 stft_streams folds the FFT size into the window and asks for
@@ -22,8 +23,8 @@ unnormalised transform.
 
 Both directions work on blocks of frames whose time-domain frames take
 at most FRAME_BLOCK_BYTES, so neither builds a whole-signal frames
-array. InverseStft takes a spectrogram block by block, which lets a
-caller compute each block just before it is inverted.
+array. istft asks its caller for each block just before it inverts
+it, so a caller that computes the spectrogram need not hold all of it.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ NORM_FLOOR = 1e-8
 # bytes of time-domain frames per block: 32 frames of 16 float32 channels.
 # 512 KiB to 2 MiB separated equally fast on a 2-core Xeon (2 MiB L2 per core)
 FRAME_BLOCK_BYTES = 1 << 20
+# rows of HOP samples a frame spans: WIN_LENGTH taps, zero-padded
+_TAP_ROWS = -(-WIN_LENGTH // HOP)
 
 
 @dataclass(frozen=True)
@@ -82,70 +85,57 @@ def stft_streams(streams: np.ndarray) -> np.ndarray:
     return spec
 
 
-class InverseStft:
-    """Weighted overlap-add inverse of a [channels, num_frames, BINS] spectrogram.
+def _overlap_add(acc: np.ndarray, frames: np.ndarray, first: int) -> None:
+    """Add frames [..., count, WIN_LENGTH] into acc [..., rows, HOP] from frame `first` on.
 
-    The spectrogram arrives in consecutive frame blocks through `add`,
-    in the order of `blocks` or in any other cut; each block's inverse
-    FFT, window and overlap-add run while it is in cache. `write` then
-    normalizes the first samples into an array. The arithmetic is in
-    `dtype` and the result equals that of one whole-spectrogram pass.
+    Sample q * HOP + r of frame t is tap (q - t) * HOP + r, so the frames
+    add as _TAP_ROWS shifted row blocks. Adding the rows from the last
+    down keeps every sample's sum in frame order.
     """
+    count = frames.shape[-2]
+    for m in reversed(range(_TAP_ROWS)):
+        taps = frames[..., m * HOP : (m + 1) * HOP]
+        acc[..., first + m : first + m + count, : taps.shape[-1]] += taps
 
-    def __init__(self, channels: int, num_frames: int, dtype):
-        self.channels, self.num_frames = channels, num_frames
-        self.dtype = np.dtype(dtype)
-        self.blocks = _frame_blocks(channels, num_frames, self.dtype)
-        self._buf = np.zeros((channels, WIN_LENGTH + (num_frames - 1) * HOP), self.dtype)
-        self._frames = np.empty((channels, 0, WIN_LENGTH), self.dtype)  # grows to a block
-        self._win = _hann(WIN_LENGTH).astype(self.dtype)
-        self._next = 0
 
-    def add(self, spec: np.ndarray) -> None:
-        """Overlap-add the next spec.shape[1] frames, given as [channels, frames, BINS]."""
-        if spec.ndim != 3 or spec.shape[0] != self.channels or spec.shape[2] != BINS:
+def _window_sum(num_frames: int, dtype) -> np.ndarray:
+    """Overlap-added squared windows of num_frames frames, summed in frame order."""
+    win_sq = _hann(WIN_LENGTH).astype(dtype) ** 2
+    norm = np.zeros((num_frames + _TAP_ROWS - 1, HOP), dtype)
+    _overlap_add(norm, np.broadcast_to(win_sq, (num_frames, WIN_LENGTH)), 0)
+    return norm.reshape(-1)[: WIN_LENGTH + (num_frames - 1) * HOP]
+
+
+def istft(block, num_frames: int, out: np.ndarray) -> np.ndarray:
+    """Weighted overlap-add inverse of a num_frames-frame spectrogram into out [channels, n].
+
+    block(lo, hi) returns frames lo:hi as [channels, hi - lo, BINS]; it
+    is called once per frame block, in order, and each block's inverse
+    FFT, window and overlap-add run while it is in cache. The arithmetic
+    is in out's dtype and equals that of one whole-spectrogram pass.
+    Returns out.
+    """
+    channels, n = out.shape
+    pad = WIN_LENGTH // 2
+    covered = WIN_LENGTH + (num_frames - 1) * HOP - pad
+    if n > covered:
+        raise ValueError(f"requested {n} samples but {num_frames} frames only cover {covered}")
+    acc = np.zeros((channels, num_frames + _TAP_ROWS - 1, HOP), out.dtype)
+    win = _hann(WIN_LENGTH).astype(out.dtype)
+    frames = None
+    for lo, hi in _frame_blocks(channels, num_frames, out.dtype):
+        spec = block(lo, hi)
+        if spec.shape != (channels, hi - lo, BINS):
             raise ValueError(
-                f"spectrogram must be [{self.channels}, frames, {BINS}], got {spec.shape}"
+                f"frames {lo}:{hi} must be [{channels}, {hi - lo}, {BINS}], got {spec.shape}"
             )
-        first, count = self._next, spec.shape[1]
-        if first + count > self.num_frames:
-            raise ValueError(f"{first + count} frames added to a {self.num_frames}-frame inverse")
-        if self._frames.shape[1] < count:
-            self._frames = np.empty((self.channels, count, WIN_LENGTH), self.dtype)
-        frames = np.fft.irfft(spec, n=WIN_LENGTH, axis=2, out=self._frames[:, :count])
-        frames *= self._win
-        for t in range(count):
-            start = (first + t) * HOP
-            self._buf[:, start : start + WIN_LENGTH] += frames[:, t]
-        self._next = first + count
-
-    def write(self, out: np.ndarray) -> np.ndarray:
-        """Normalize the first out.shape[1] output samples into `out` [channels, n]; returns it."""
-        if self._next != self.num_frames:
-            raise ValueError(f"{self._next} of {self.num_frames} frames added")
-        pad = WIN_LENGTH // 2
-        buf_len = self._buf.shape[1]
-        out_length = out.shape[1]
-        if out_length + pad > buf_len:
-            raise ValueError(
-                f"requested {out_length} samples but frames only cover {buf_len - pad}"
-            )
-        norm, win_sq = np.zeros(buf_len, self.dtype), self._win**2
-        for t in range(self.num_frames):
-            norm[t * HOP : t * HOP + WIN_LENGTH] += win_sq
-        window = slice(pad, pad + out_length)
-        return np.divide(self._buf[:, window], np.maximum(norm[window], NORM_FLOOR), out=out)
-
-
-def istft(spec: np.ndarray, out_length: int) -> np.ndarray:
-    """Weighted overlap-add inverse of [channels, frames, BINS] -> [channels, out_length]."""
-    if spec.ndim != 3 or spec.shape[2] != BINS:
-        raise ValueError(f"spectrogram must be [channels, frames, {BINS}], got {spec.shape}")
-    channels, num_frames, _ = spec.shape
-    inverse = InverseStft(channels, num_frames, np.result_type(spec.real.dtype, np.float32))
-    for lo, hi in inverse.blocks:
-        inverse.add(spec[:, lo:hi])
-    return inverse.write(np.empty((channels, out_length), inverse.dtype))
+        if frames is None:  # the first block is the largest
+            frames = np.empty((channels, hi - lo, WIN_LENGTH), out.dtype)
+        part = np.fft.irfft(spec, n=WIN_LENGTH, axis=2, out=frames[:, : hi - lo])
+        part *= win
+        _overlap_add(acc, part, lo)
+    norm = np.maximum(_window_sum(num_frames, out.dtype)[pad : pad + n], NORM_FLOOR)
+    return np.divide(acc.reshape(channels, -1)[:, pad : pad + n], norm, out=out)
 
 
 def to_magphase(spec: np.ndarray) -> MagPhase:

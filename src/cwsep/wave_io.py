@@ -31,7 +31,7 @@ class TruncatedWavError(WavError):
 
 @dataclass(frozen=True)
 class Waveform:
-    """A finite real-valued signal, one row per channel."""
+    """A finite real-valued signal, one row per channel, at a positive integer sample rate."""
 
     samples: np.ndarray  # [channels, length]
     sample_rate: int
@@ -42,6 +42,8 @@ class Waveform:
             raise ValueError(f"samples must be 2-D [channels, length], got shape {s.shape}")
         if s.shape[0] not in (1, 2):
             raise ValueError(f"channels must be 1 or 2, got {s.shape[0]}")
+        if type(self.sample_rate) is bool or not isinstance(self.sample_rate, (int, np.integer)):
+            raise ValueError(f"sample_rate must be an integer, got {self.sample_rate!r}")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if not np.all(np.isfinite(s)):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cwsep import Waveform, design_filterbank
+from cwsep import Waveform, design_filterbank, istft
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +23,12 @@ def noise_waveform(seconds, channels=1, sample_rate=44100, seed=1234, amp=0.1):
     rng = np.random.default_rng(seed)
     n = int(round(seconds * sample_rate))
     return Waveform(amp * rng.standard_normal((channels, n)), sample_rate)
+
+
+def whole_istft(spec, out_length):
+    """istft of a whole [channels, frames, BINS] spectrogram into a new array."""
+    out = np.empty((spec.shape[0], out_length), np.result_type(spec.real.dtype, np.float32))
+    return istft(lambda lo, hi: spec[:, lo:hi], spec.shape[1], out)
 
 
 @pytest.fixture(scope="session")

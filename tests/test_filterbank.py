@@ -119,9 +119,19 @@ class TestDesign:
         with pytest.raises(ValueError):
             design_filterbank(3)
 
+    def test_float_band_count_is_named(self):
+        # 2.0 == 2 passed the check and failed later with an IndexError
+        with pytest.raises(ValueError, match="num_bands must be one of"):
+            design_filterbank(2.0)
+
     def test_taps_must_divide(self):
         with pytest.raises(ValueError):
             design_filterbank(4, taps=60)
+
+    @pytest.mark.parametrize("taps", [0, -64, 64.0, True, "64"])
+    def test_taps_must_be_a_positive_integer(self, taps):
+        with pytest.raises(ValueError, match="taps must be a positive integer"):
+            design_filterbank(4, taps=taps)
 
     def test_deterministic(self):
         a = design_filterbank(2)

@@ -6,7 +6,9 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cwsep import spectral
-from cwsep.spectral import istft, stft_streams, to_magphase
+from cwsep.spectral import stft_streams, to_magphase
+
+from conftest import whole_istft
 
 BAND_RATE = 11025
 # frame-block budgets: one frame per block, the default, one block for everything
@@ -118,7 +120,7 @@ class TestIstft:
         sb = subband_noise(seconds=10.0)
         n = sb.shape[1]
         spec = stft_streams(sb)
-        y = istft(spec, n)
+        y = whole_istft(spec, n)
         err = np.abs(y - sb)
         assert np.max(err[:, 512:-512]) <= 1e-6
 
@@ -127,7 +129,7 @@ class TestIstft:
         n = sb.shape[1]
         spec = stft_streams(sb)
         assert spec.dtype == np.complex64
-        y = istft(spec, n)
+        y = whole_istft(spec, n)
         assert y.dtype == np.float32
         err = np.abs(y.astype(np.float64) - sb.astype(np.float64))
         assert np.max(err[:, 512:-512]) <= 1e-6
@@ -138,24 +140,49 @@ class TestIstft:
         oracle = reference_istft(spec, 30000)
         for block_bytes in BLOCK_BYTES:
             monkeypatch.setattr(spectral, "FRAME_BLOCK_BYTES", block_bytes)
-            y = istft(spec, 30000)
+            y = whole_istft(spec, 30000)
             assert y.dtype == oracle.dtype
             assert np.array_equal(y, oracle)
 
     def test_inverse_takes_every_frame_once(self):
         spec = np.zeros((2, 20, 257), dtype=np.complex64)
-        inverse = spectral.InverseStft(2, 20, np.float32)
-        inverse.add(spec[:, :15])
-        with pytest.raises(ValueError, match="15 of 20 frames"):
-            inverse.write(np.empty((2, 1000), np.float32))
-        with pytest.raises(ValueError, match="30 frames added to a 20-frame"):
-            inverse.add(spec[:, :15])
-        with pytest.raises(ValueError, match=r"must be \[2, frames, 257\]"):
-            inverse.add(spec[:1, 15:])
+        out = np.empty((2, 1000), np.float32)
+        expected = r"frames 0:20 must be \[2, 20, 257\], got "
+        with pytest.raises(ValueError, match=expected + r"\(1, 20, 257\)"):
+            spectral.istft(lambda lo, hi: spec[:1, lo:hi], 20, out)
+        with pytest.raises(ValueError, match=expected + r"\(2, 15, 257\)"):
+            spectral.istft(lambda lo, hi: spec[:, lo : min(hi, 15)], 20, out)
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+    def test_blocks_are_asked_for_in_order(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(spectral, "FRAME_BLOCK_BYTES", block_bytes)
+        spec = stft_streams(subband_noise(seconds=1.0, seed=11, dtype=np.float32))
+        asked = []
+
+        def block(lo, hi):
+            asked.append((lo, hi))
+            return spec[:, lo:hi]
+
+        out = np.empty((spec.shape[0], 11025), np.float32)
+        assert spectral.istft(block, spec.shape[1], out) is out
+        # consecutive blocks from frame 0 to the last, each as large as the budget allows
+        frames = spec.shape[1]
+        step = max(1, min(frames, block_bytes // (spec.shape[0] * 512 * 4)))
+        assert asked == [(lo, min(lo + step, frames)) for lo in range(0, frames, step)]
+        assert np.array_equal(out, reference_istft(spec, 11025))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_window_sum_is_the_frame_loop(self, dtype):
+        win_sq = (0.5 - 0.5 * np.cos(2 * np.pi * np.arange(512) / 512)).astype(dtype) ** 2
+        for frames in [*range(1, 40), 502, 1003, 2005, 6013]:
+            loop = np.zeros(512 + (frames - 1) * 110, dtype)
+            for t in range(frames):
+                loop[t * 110 : t * 110 + 512] += win_sq
+            assert np.array_equal(spectral._window_sum(frames, dtype), loop)
 
     def test_zero_spectrogram(self):
         spec = np.zeros((2, 20, 257), dtype=complex)
-        y = istft(spec, 1000)
+        y = whole_istft(spec, 1000)
         assert y.shape == (2, 1000)
         assert not y.any()
 
@@ -164,14 +191,14 @@ class TestIstft:
         b = stft_streams(subband_noise(seed=2))
         ab = a + b
         n = 2000
-        lhs = istft(ab, n)
-        rhs = istft(a, n) + istft(b, n)
+        lhs = whole_istft(ab, n)
+        rhs = whole_istft(a, n) + whole_istft(b, n)
         assert np.max(np.abs(lhs - rhs)) <= 1e-6
 
     def test_overlong_request_rejected(self):
         spec = np.zeros((1, 5, 257), dtype=complex)
-        with pytest.raises(ValueError):
-            istft(spec, 10_000)
+        with pytest.raises(ValueError, match="5 frames only cover 696"):
+            whole_istft(spec, 10_000)
 
 
 class TestMagPhase:
@@ -225,4 +252,4 @@ class TestMagPhase:
 
 def test_bin_count_invariant():
     with pytest.raises(ValueError):
-        istft(np.zeros((1, 4, 200), dtype=complex), 100)
+        whole_istft(np.zeros((1, 4, 200), dtype=complex), 100)

@@ -297,3 +297,16 @@ def test_waveform_invariants():
         Waveform(np.zeros((1, 10)), 0)
     with pytest.raises(ValueError):
         Waveform(np.array([[np.inf]]), 44100)
+
+
+@pytest.mark.parametrize("rate", [44100.5, 44100.0, True, "44100"])
+def test_sample_rate_must_be_an_integer(rate):
+    # 44100.5 was accepted, and write_wav then failed in struct.pack
+    with pytest.raises(ValueError, match="sample_rate must be an integer"):
+        Waveform(np.zeros((1, 10)), rate)
+
+
+def test_numpy_integer_sample_rate_is_written(tmp_path):
+    p = tmp_path / "np_rate.wav"
+    write_wav(Waveform(np.zeros((1, 10)), np.int64(22050)), p, format="pcm16")
+    assert read_wav(p).sample_rate == 22050
