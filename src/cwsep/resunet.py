@@ -24,21 +24,32 @@ residual add then work in place on the tile's output rows, and only
 then is the next tile staged, so every pass over a tile finds it in
 cache.
 
-Every 3x3 conv is cut into the same row tiles whatever the thread
-count: the fewest near-equal tiles whose staged operand fits
-TILE_BYTES. With a pool passed to `forward`, the tiles are dealt in
-turn to `min(threads, tiles)` jobs; the calling thread runs job 0 and
-every job no idle pool thread has started. Each job allocates one tile-sized
-operand and product per conv; a forward keeps no buffer across layers,
-so threads may share one Model. A tile's GEMM and epilogue are the same
-calls whichever thread runs them, and a shortcut is one call, so the
-output is the same bits for every thread count. TILE_BYTES is 2 MiB,
-the L2 cache of one core of the 2-core Xeon VM it was measured on.
-There, alternating `vocals-276` forwards on a 10 s segment at two
-threads (numpy 2.4.6, OpenBLAS 0.3.31 at one thread) took a median
-3.32 s at 2 MiB, the fastest or tied in three sweeps; 3.76 s at 1 MiB,
-3.54 s at 4 and 8 MiB, 4.77 s at 0.5 MiB, where halo rows and per-tile
-calls add up, and 4.38 s with one tile per thread.
+The one tile kernel runs a chain of 3x3 convs on each row tile. A
+residual block is a chain of two: conv1 computes its tile plus one
+halo row on each side from r + 4 staged rows into a tile-sized buffer,
+adds its bias, goes through the leaky ReLU and zeroes the rows outside
+the image; conv2 stages from that buffer, then adds its bias and the
+block's residual (the input, or the 1x1 shortcut computed before). So
+conv1's output never exists as a whole layer. The upsample convs and
+the head are chains of one.
+
+A chain is cut into the same row tiles whatever the thread count: the
+fewest near-equal tiles whose staged operands fit TILE_BYTES. With a
+pool passed to `forward`, `min(threads, tiles)` jobs, the calling
+thread's among them, each take the next tile no job has taken until
+none is left, so a thread that runs slow or starts late takes fewer
+tiles; a job no pool thread has started when the calling thread is
+done is cancelled. Each job allocates its tile-sized buffers per conv
+call; a forward keeps no buffer across layers, so threads may share one
+Model. A tile's GEMMs and epilogues are the same calls whichever thread
+runs them, and a shortcut is one call, so the output is the same bits
+for every thread count. TILE_BYTES is 2 MiB, the L2 cache of one core
+of the 2-core Xeon VM it was measured on. There, alternating
+`vocals-276` forwards on a 10 s segment at two threads (numpy 2.4.6,
+OpenBLAS 0.3.31 at one thread) took a median 2.31 s at 2 MiB and at
+4 MiB (4 MiB faster in 4 of 6 rounds) and 2.67 s at 1 MiB, where halo
+rows and per-tile calls add up. At least 4 tiles per chain, to spread
+the deepest levels over both threads, took 2.46 s against 2.28 s.
 
 Inference only; parameters live in a flat name -> float32 array table
 serialized via the CWSW container format.
@@ -47,6 +58,7 @@ serialized via the CWSW container format.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -213,11 +225,11 @@ class Model:
             h = _avgpool2(h)
         for lvl in reversed(range(cfg.num_levels)):
             h = _upsample2(h)
-            h = self._conv(h, f"dec{lvl}.upsample", pool, leaky=True)
+            h = _conv3x3(h, [self._link(f"dec{lvl}.upsample", True)], pool)
             h = np.concatenate([h, skips[lvl]], axis=0)
             for b in range(cfg.blocks_per_level[lvl]):
                 h = self._block(h, f"dec{lvl}.block{b}", pool)
-        out = self._conv(h, "head", pool)[:, :t0, :f0]
+        out = _conv3x3(h, [self._link("head", False)], pool)[:, :t0, :f0]
 
         per_source = np.split(out, cfg.out_sources, axis=0)
         results = []
@@ -228,17 +240,14 @@ class Model:
             )
         return results
 
-    def _conv(self, x, prefix, pool, leaky=False, residual=None):
-        w = self.params[f"{prefix}.weight"]
-        b = self.params.get(f"{prefix}.bias")
-        return _conv3x3(x, w, b, pool, leaky, residual)
+    def _link(self, prefix, leaky):
+        return self.params[f"{prefix}.weight"], self.params.get(f"{prefix}.bias"), leaky
 
     def _block(self, x, prefix, pool=None):
-        y = self._conv(x, f"{prefix}.conv1", pool, leaky=True)
         w = self.params.get(f"{prefix}.shortcut.weight")
-        if w is not None:
-            x = _shortcut(x, w)
-        return self._conv(y, f"{prefix}.conv2", pool, residual=x)
+        residual = x if w is None else _shortcut(x, w)
+        links = [self._link(f"{prefix}.conv1", True), self._link(f"{prefix}.conv2", False)]
+        return _conv3x3(x, links, pool, residual)
 
 
 # Bytes of one row tile's staged GEMM operand (see the module docstring)
@@ -250,42 +259,43 @@ def _threads(pool):
     return 1 if pool is None else pool._max_workers
 
 
-def _tiles(hgt, wid, c):
-    """(first row, end row) of each row tile of a 3x3 conv over c channels.
+def _tiles(hgt, wid, c, depth=1):
+    """(first row, end row) of each row tile of a chain of `depth` 3x3 convs.
 
-    The fewest near-equal tiles (one if hgt is 0) whose staged operand
-    fits TILE_BYTES (one row at least). A tile of r rows stages r + 2
-    input rows as a [3 * c, (r + 2) * wid] float32 operand.
+    `c` is the most input channels of a conv in the chain. The fewest
+    near-equal tiles (one if hgt is 0) whose staged operand fits
+    TILE_BYTES (one row at least): a tile of r rows stages at most
+    r + 2 * depth input rows of a conv, as a [3 * c, (r + 2 * depth) * wid]
+    float32 operand.
     """
-    fit = max(TILE_BYTES // (12 * c * wid) - 2, 1)
+    fit = max(TILE_BYTES // (12 * c * wid) - 2 * depth, 1)
     n = max(-(-hgt // fit), 1)
     return [(i * hgt // n, (i + 1) * hgt // n) for i in range(n)]
 
 
 def _fan_out(pool, count, job):
-    """Run job(0), ..., job(count - 1); job 0 here, the rest on idle `pool` threads.
+    """Run job() here and on up to count - 1 idle `pool` threads; return when all are done.
 
-    A job no pool thread has started by the time this thread reaches it
-    runs here, so this thread never waits on a queued job: calls from
-    the pool's own threads cannot deadlock, and jobs only spread when a
-    pool thread is free. A job run here stays in the pool's queue,
-    cancelled, until a pool thread takes it off; the queue reaches `job`
-    only through `held`, emptied on return, so it keeps none of the
-    conv's arrays alive while every pool thread is busy.
+    Every job takes work until none is left, so a job that no pool
+    thread has started by the time this thread's job returns has
+    nothing to do: it is cancelled, and this thread never waits on a
+    queued job, so calls from the pool's own threads cannot deadlock.
+    A cancelled job stays in the pool's queue until a pool thread takes
+    it off; the queue reaches `job` only through `held`, emptied on
+    return, so it keeps none of the conv's arrays alive while every
+    pool thread is busy.
     """
     held = [job]
-    futures = [pool.submit(_run_held, held, i) for i in range(1, count)]
-    job(0)
-    for i, future in enumerate(futures, 1):
-        if future.cancel():
-            job(i)
-        else:
+    futures = [pool.submit(_run_held, held) for _ in range(1, count)]
+    job()
+    for future in futures:
+        if not future.cancel():
             future.result()
     held.clear()
 
 
-def _run_held(held, i):
-    held[0](i)
+def _run_held(held):
+    held[0]()
 
 
 def _leaky(x, scratch):
@@ -323,57 +333,83 @@ def _stage(x, lo, hi, taps):
     inner[:, 2, :, :-1] = src[:, :, 1:]
 
 
-def _conv3x3(x, w, b, pool=None, leaky=False, residual=None):
-    """x [C,H,W], w [O,C,3,3], zero padding to 'same'.
+def _conv3x3(x, links, pool=None, residual=None):
+    """A chain of 3x3 convs over x [C,H,W], each zero-padded to 'same'.
 
-    Returns a fresh float32 [O,H,W]: the conv plus bias `b` (or none),
-    through the leaky ReLU if `leaky`, plus `residual` [O,H,W] if given.
-    The conv runs over row tiles (see `_tiles`). A tile of r rows
+    `links` lists each conv as (w [O,C,3,3], bias [O] or None, leaky):
+    the conv adds its bias and, if `leaky`, goes through the leaky ReLU.
+    Returns a fresh float32 [O,H,W], the last conv's output plus
+    `residual` [O,H,W] if given. The chain runs over row tiles (see
+    `_tiles`), each tile through every conv before the next tile. A
+    conv that feeds d later convs computes its tile's rows and d halo
+    rows on each side into one tile-sized buffer, rows outside x zero,
+    and the next conv stages from that buffer. A conv of r output rows
     stages its r + 2 input rows as [3*C, (r+2)*W]; one GEMM, w as
     [3*O, 3*C] (kernel row, then output channel) by that operand, gives
-    z [3, O, r + 2, W], and the tile's output rows are
+    z [3, O, r + 2, W], and the output rows are
     z[0, :, 0:r] + z[1, :, 1:r+1] + z[2, :, 2:r+2]. Bias, leaky ReLU
-    (z as scratch) and residual follow before the next tile is staged.
-    With a `pool`, the tiles are dealt in turn to `min(threads, tiles)`
-    jobs (see `_fan_out`). Each job allocates one operand and one GEMM
-    output, sized for the widest tile.
+    (z as scratch) and residual follow before the next conv is staged.
+    With a `pool`, `min(threads, tiles)` jobs (see `_fan_out`) each take
+    the next tile no job has taken until none is left. Each job
+    allocates one operand, one GEMM output and, for a chain, one fed
+    buffer, sized for the widest tile.
     """
-    o, c = w.shape[:2]
     _, hgt, wid = x.shape
-    y = np.empty((o, hgt, wid), dtype=np.float32)
-    w_rows = w.transpose(2, 0, 1, 3).reshape(3 * o, 3 * c)  # [kernel row, O] x [C, kernel column]
-    tiles = _tiles(hgt, wid, c)
-    count = min(_threads(pool), len(tiles))
-    widest = (max(t1 - t0 for t0, t1 in tiles) + 2) * wid
+    y = np.empty((len(links[-1][0]), hgt, wid), dtype=np.float32)
+    # [kernel row, O] x [C, kernel column]
+    w_rows = [w.transpose(2, 0, 1, 3).reshape(3 * len(w), -1) for w, _, _ in links]
+    depth = len(links)
+    tiles = _tiles(hgt, wid, max(w.shape[1] for w, _, _ in links), depth)
+    widest = (max(t1 - t0 for t0, t1 in tiles) + 2 * depth) * wid
+    deal = itertools.count()
 
-    def job(i):
-        staged = np.empty(3 * c * widest, dtype=np.float32)
-        product = np.empty(3 * o * widest, dtype=np.float32)
-        for t0, t1 in tiles[i::count]:
-            rows = t1 - t0
-            n = (rows + 2) * wid
-            taps = staged[: 3 * c * n].reshape(3 * c, n)
-            _stage(x, t0 - 1, t1 + 1, taps)
-            z = np.matmul(w_rows, taps, out=product[: 3 * o * n].reshape(3 * o, n))
-            z = z.reshape(3, o, rows + 2, wid)
-            out = y[:, t0:t1]
-            # output row r takes kernel row i from staged row r + i
-            np.add(z[0, :, :rows], z[1, :, 1 : rows + 1], out=out)
-            out += z[2, :, 2:]
-            if b is not None:
-                out += b[:, None, None]
-            if leaky:
-                _leaky(out, product)
+    def job():
+        staged = np.empty(max(w.shape[1] for w in w_rows) * widest, dtype=np.float32)
+        product = np.empty(max(len(w) for w in w_rows) * widest, dtype=np.float32)
+        fed_channels = max([len(w) // 3 for w in w_rows[:-1]], default=0)
+        fed = np.empty(fed_channels * widest, dtype=np.float32)
+        for i in deal:
+            if i >= len(tiles):
+                return
+            t0, t1 = tiles[i]
+            src, lo = x, t0 - depth
+            for w, (_, b, leaky), halo in zip(w_rows, links, range(depth - 1, -1, -1)):
+                o, rows = len(w) // 3, t1 - t0 + 2 * halo
+                n = (rows + 2) * wid
+                taps = staged[: w.shape[1] * n].reshape(-1, n)
+                _stage(src, lo, lo + rows + 2, taps)
+                z = np.matmul(w, taps, out=product[: 3 * o * n].reshape(3 * o, n))
+                z = z.reshape(3, o, rows + 2, wid)
+                out = fed[: o * rows * wid].reshape(o, rows, wid) if halo else y[:, t0:t1]
+                # output row r takes kernel row i from staged row r + i
+                np.add(z[0, :, :rows], z[1, :, 1 : rows + 1], out=out)
+                out += z[2, :, 2:]
+                if b is not None:
+                    out += b[:, None, None]
+                if leaky:
+                    _leaky(out, product)
+                if halo:  # rows outside x are the next conv's zero padding
+                    out[:, : max(halo - t0, 0)] = 0
+                    out[:, rows - max(t1 + halo - hgt, 0) :] = 0
+                    src, lo = out, 0
             if residual is not None:
                 out += residual[:, t0:t1]
 
-    _fan_out(pool, count, job)
+    _fan_out(pool, min(_threads(pool), len(tiles)), job)
     return y
 
 
 def _avgpool2(x):
+    """2x2 mean: the same bits as x's [C, H/2, 2, W/2, 2] view .mean(axis=(2, 4)) if W > 2.
+
+    numpy 2.4.6 sums each window in this order; at W = 2 mean sums the
+    four contiguous values left to right instead.
+    """
     c, hgt, wid = x.shape
-    return x.reshape(c, hgt // 2, 2, wid // 2, 2).mean(axis=(2, 4))
+    v = x.reshape(c, hgt // 2, 2, wid // 2, 2)
+    y = (v[:, :, 0, :, 0] + v[:, :, 0, :, 1]) + (v[:, :, 1, :, 0] + v[:, :, 1, :, 1])
+    y *= np.float32(0.25)
+    return y
 
 
 def _upsample2(x):

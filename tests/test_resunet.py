@@ -138,9 +138,9 @@ class TestForward:
             assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
     def test_jobs_run_here_leave_nothing_alive_in_a_busy_pool(self):
-        # the pool's one thread is busy, so every job runs on the caller
-        # and its cancelled job waits in the pool's queue; that job must
-        # not keep the conv's arrays alive
+        # the pool's one thread is busy, so only the caller's job runs
+        # (it takes every tile) and the two cancelled jobs wait in the
+        # pool's queue; they must not keep the conv's arrays alive
         class Arrays:
             pass
 
@@ -149,11 +149,11 @@ class TestForward:
         release = threading.Event()
         with ThreadPoolExecutor(max_workers=1) as pool:
             pool.submit(release.wait, 60)
-            resunet._fan_out(pool, 3, lambda i, arrays=arrays: ran.append(i))
+            resunet._fan_out(pool, 3, lambda arrays=arrays: ran.append(threading.get_ident()))
             del arrays
             held = alive() is not None
             release.set()
-        assert ran == [0, 1, 2]
+        assert ran == [threading.get_ident()]
         assert not held
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -255,7 +255,7 @@ class TestConv2d:
         # values; otherwise the conv is one tile
         if row_tiles:
             monkeypatch.setattr(resunet, "TILE_BYTES", 1)
-        got = _conv3x3(x, w, b) if k == 3 else _shortcut(x, w)
+        got = _conv3x3(x, [(w, b, False)]) if k == 3 else _shortcut(x, w)
         ref = conv_oracle(x, w, b)
         assert got.shape == (o, hgt, wid) and got.dtype == np.float32
         assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
@@ -282,8 +282,8 @@ class TestConv2d:
                 w = (rng.standard_normal((o, c, 3, 3)) / (3 * c)).astype(np.float32)
                 b = rng.standard_normal(o).astype(np.float32)
                 res = rng.standard_normal((o, hgt, wid)).astype(np.float32)
-                unsplit = _conv3x3(x, w, b, None, True, res)
-                assert np.array_equal(_conv3x3(x, w, b, pool, True, res), unsplit)
+                unsplit = _conv3x3(x, [(w, b, True)], None, res)
+                assert np.array_equal(_conv3x3(x, [(w, b, True)], pool, res), unsplit)
 
     def test_tiles_do_not_depend_on_the_pool(self, monkeypatch):
         # enc0.block0.conv1 of vocals-276 on 45 rows: one tile, which a
@@ -304,9 +304,9 @@ class TestConv2d:
             staged.clear()
             if threads:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
-                    _conv3x3(x, w, None, pool)
+                    _conv3x3(x, [(w, None, False)], pool)
             else:
-                _conv3x3(x, w, None)
+                _conv3x3(x, [(w, None, False)])
             runs.append(sorted(staged))
         assert runs[0] == runs[1] == runs[2]
 
@@ -332,13 +332,13 @@ class TestConv2d:
         peak = np.max(np.abs(ref))
         monkeypatch.setattr(resunet, "TILE_BYTES", 4 * 3 * c * (hgt + 2) * wid)
         assert len(resunet._tiles(hgt, wid, c)) == 1
-        whole = _conv3x3(x, w, b, None, True, res)
+        whole = _conv3x3(x, [(w, b, True)], None, res)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for rows in (1, 7):
                 monkeypatch.setattr(resunet, "TILE_BYTES", 4 * 3 * c * (rows + 2) * wid)
                 assert max(t1 - t0 for t0, t1 in resunet._tiles(hgt, wid, c)) <= rows
-                tiled = _conv3x3(x, w, b, None, True, res)
-                assert np.array_equal(_conv3x3(x, w, b, pool, True, res), tiled)
+                tiled = _conv3x3(x, [(w, b, True)], None, res)
+                assert np.array_equal(_conv3x3(x, [(w, b, True)], pool, res), tiled)
                 assert np.max(np.abs(tiled - whole)) <= 1e-6 * peak
                 assert np.max(np.abs(tiled - ref)) <= 1e-5 * peak
 
@@ -353,11 +353,130 @@ class TestConv2d:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             tracemalloc.start()
             try:
-                y = _conv3x3(x, w, b, pool, True)
+                y = _conv3x3(x, [(w, b, True)], pool)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         assert peak < y.nbytes + 3 * threads * resunet.TILE_BYTES
+
+
+def block_weights(c, o, seed):
+    """Weights of a c -> o residual block: links of its two convs, and a shortcut if c != o."""
+    rng = np.random.default_rng(seed)
+    w1 = (rng.standard_normal((o, c, 3, 3)) / (3 * c)).astype(np.float32)
+    w2 = (rng.standard_normal((o, o, 3, 3)) / (3 * o)).astype(np.float32)
+    b1, b2 = rng.standard_normal((2, o)).astype(np.float32)
+    shortcut = rng.standard_normal((o, c, 1, 1)).astype(np.float32) if c != o else None
+    return [(w1, b1, True), (w2, b2, False)], shortcut
+
+
+class TestBlockChain:
+    # c -> o at the top level's width: enc0.block1 and dec0.block0 of
+    # vocals-276. Narrower layers can put one of the separate convs'
+    # GEMMs under OpenBLAS's small-matrix size, where it rounds otherwise.
+    @pytest.mark.parametrize("threads", [0, 1, 2, 3])
+    @pytest.mark.parametrize("one_row_tiles", [False, True])
+    @pytest.mark.parametrize("hgt", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("c, o", [(16, 16), (32, 16)])
+    def test_matches_separate_convs(self, c, o, hgt, one_row_tiles, threads, monkeypatch):
+        links, shortcut = block_weights(c, o, hgt)
+        x = np.random.default_rng(hgt + 10).standard_normal((c, hgt, 288)).astype(np.float32)
+        residual = x if shortcut is None else _shortcut(x, shortcut)
+        if one_row_tiles:
+            monkeypatch.setattr(resunet, "TILE_BYTES", 1)
+            assert len(resunet._tiles(hgt, 288, c, 2)) == hgt
+        separate = _conv3x3(_conv3x3(x, links[:1]), links[1:], None, residual)
+        if threads:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                chained = _conv3x3(x, links, pool, residual)
+        else:
+            chained = _conv3x3(x, links, None, residual)
+        assert np.array_equal(chained, separate)
+
+    def test_a_late_pool_thread_takes_each_tile_once(self, monkeypatch):
+        # the pool's job starts only after this thread has taken a tile;
+        # then both take tiles, and each tile runs exactly once
+        c, o, hgt, wid = 16, 16, 8, 288
+        links, _ = block_weights(c, o, 0)
+        x = np.random.default_rng(1).standard_normal((c, hgt, wid)).astype(np.float32)
+        monkeypatch.setattr(resunet, "TILE_BYTES", 1)
+        tiles = resunet._tiles(hgt, wid, c, 2)
+        separate = _conv3x3(_conv3x3(x, links[:1]), links[1:], None, x)
+        here, release, started = threading.get_ident(), threading.Event(), threading.Event()
+        stage, staged = resunet._stage, []
+
+        def recording(src, lo, hi, taps):
+            staged.append((threading.get_ident(), src is x, lo, hi))
+            if threading.get_ident() == here:
+                release.set()
+                assert started.wait(60)
+            else:
+                started.set()
+            stage(src, lo, hi, taps)
+
+        monkeypatch.setattr(resunet, "_stage", recording)
+        # both pool threads wait, so the conv's one pool job starts when released
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(2):
+                pool.submit(release.wait, 60)
+            chained = _conv3x3(x, links, pool, x)
+        assert np.array_equal(chained, separate)
+        assert len(staged) == 2 * len(tiles)
+        firsts = sorted((lo, hi) for _, of_x, lo, hi in staged if of_x)
+        assert firsts == [(t0 - 2, t1 + 2) for t0, t1 in tiles]
+        assert len({thread for thread, *_ in staged}) == 2
+
+    def test_many_threads_take_each_tile_once(self, monkeypatch):
+        # 64 one-row tiles on 4 threads and this one with a short switch
+        # interval: a tile taken twice or never would show in the count
+        # or in the result
+        links, _ = block_weights(16, 16, 2)
+        x = np.random.default_rng(2).standard_normal((16, 64, 288)).astype(np.float32)
+        monkeypatch.setattr(resunet, "TILE_BYTES", 1)
+        separate = _conv3x3(_conv3x3(x, links[:1]), links[1:], None, x)
+        stage, calls = resunet._stage, []
+        monkeypatch.setattr(resunet, "_stage", lambda *a: calls.append(1) or stage(*a))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(3):
+                    calls.clear()
+                    assert np.array_equal(_conv3x3(x, links, pool, x), separate)
+                    assert len(calls) == 2 * 64
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_block_memory_stays_within_the_output_and_a_few_tiles(self):
+        # enc0.block1 of vocals-276 on a 10 s segment, on 2 threads: conv1's
+        # output goes through tile-sized buffers, never a [16, 1024, 288] array
+        c, hgt, wid, threads = 16, 1024, 288, 2
+        model = init_random(build(ModelConfig(in_channels=c, channels_per_level=(c,),
+                                              blocks_per_level=(1,))), seed=3)
+        x = np.random.default_rng(0).standard_normal((c, hgt, wid)).astype(np.float32)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            tracemalloc.start()
+            try:
+                y = model._block(x, "enc0.block0", pool)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < y.nbytes + 3 * threads * resunet.TILE_BYTES
+
+
+@pytest.mark.parametrize("frames", [502, 1003, 2005])
+@pytest.mark.parametrize("preset", ["vocals-276", "other-166"])
+def test_avgpool_is_the_mean_bit_for_bit(preset, frames):
+    # the input of every pool level of a [8, frames, 257] forward; 8, 4
+    # and 2 bands give 502, 1003 and 2005 frames per 10 s segment
+    cfg = PRESETS[preset]
+    mult = 2**cfg.num_levels
+    hgt, wid = -(-frames // mult) * mult, -(-257 // mult) * mult
+    rng = np.random.default_rng(frames)
+    for lvl, c in enumerate(cfg.channels_per_level):
+        x = (rng.standard_normal((c, hgt >> lvl, wid >> lvl)) * 10).astype(np.float32)
+        mean = x.reshape(c, x.shape[1] // 2, 2, x.shape[2] // 2, 2).mean(axis=(2, 4))
+        assert np.array_equal(resunet._avgpool2(x), mean), x.shape
 
 
 class TestWeightStore:
