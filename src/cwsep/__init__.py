@@ -15,7 +15,7 @@ from .metrics import (
     sdr_framewise_median,
     sdr_global,
 )
-from .pipeline import IdentityModel, instrumental_residual, separate
+from .pipeline import IdentityModel, separate
 from .resunet import (
     PRESETS,
     Model,
@@ -64,7 +64,6 @@ __all__ = [
     "read_store",
     "model_from_store",
     "separate",
-    "instrumental_residual",
     "IdentityModel",
     "energy_conservation_loss",
     "sdr_global",

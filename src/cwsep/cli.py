@@ -118,26 +118,20 @@ def cmd_separate(args) -> int:
             f"weights stage: model estimates {model.out_sources} sources "
             f"but --sources names {len(sources)}"
         )
-    if model.config.in_channels != 2 * fb.num_bands:
-        raise RuntimeError(
-            f"weights stage: model takes {model.config.in_channels} input streams "
-            f"but the {fb.num_bands}-band bank gives {2 * fb.num_bands} (2 channels x bands)"
-        )
 
     estimates = pipeline.separate(mixture, model, fb)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    by_name = {}
     for name, est in zip(sources, estimates):
         path = out_dir / f"{name}.wav"
         write_wav(est, path, format="float32")
-        by_name[name] = est
         print(f"wrote {path}", file=sys.stderr)
     if args.residual_instrumental:
-        residual = pipeline.instrumental_residual(mixture, by_name["vocals"])
+        # separate returns the input's length, so a mono mixture broadcasts
+        residual = mixture.samples - estimates[sources.index("vocals")].samples
         path = out_dir / "instrumental.wav"
-        write_wav(residual, path, format="float32")
+        write_wav(Waveform(residual, mixture.sample_rate), path, format="float32")
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -16,12 +16,13 @@ and spreads its convs over the threads no segment is using. numpy's
 bundled OpenBLAS is held at one thread meanwhile, so the pool's threads
 are the only ones.
 
-A model has `out_sources` and `forward(mag, pool=None)`, which maps a
-float32 magnitude [channels * bands, frames, spectral.BINS] to a
-sequence of exactly `out_sources` cirm.NetworkOutputs shaped like
+A model has `out_sources`, an int >= 1, and `forward(mag, pool=None)`,
+which maps a float32 magnitude [channels * bands, frames, spectral.BINS]
+to a sequence of exactly `out_sources` cirm.NetworkOutputs shaped like
 `mag`. `pool` is the segment pool, which the model may use for its own
 jobs (`IdentityModel` ignores it), or None; its output must not depend
-on it.
+on it. A model that declares `in_channels` takes that many streams,
+which must be 2 x bands; `separate` checks both before any work.
 """
 
 from __future__ import annotations
@@ -124,16 +125,28 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
 
     Mono inputs are duplicated to stereo here. `workers` threads run the
     network stage of the segments and the per-source synthesis (0 = one
-    per CPU this process may run on, negative raises PipelineError
-    before any work); numpy's OpenBLAS is held at one thread meanwhile.
-    Output order and values are independent of scheduling. A failing
-    segment raises PipelineError naming its index, start time and stage
-    (stft, forward, cirm: output shapes, or istft: a source's decode); a
-    forward pass that returns other than `model.out_sources` outputs
-    fails in its forward stage.
+    per CPU this process may run on); numpy's OpenBLAS is held at one
+    thread meanwhile. Output order and values are independent of
+    scheduling. Before any work, PipelineError names `workers` that is
+    not an int >= 0, `model.out_sources` that is not an int >= 1, a
+    declared `model.in_channels` other than 2 x bands, another rate or
+    an empty input. A failing segment raises PipelineError naming its index,
+    start time and stage (stft, forward, cirm: output shapes, or istft: a
+    source's decode); a forward pass that returns other than
+    `model.out_sources` outputs fails in its forward stage.
     """
-    if workers < 0:
-        raise PipelineError(f"workers must be >= 0 (0 = one per CPU), got {workers}")
+    if type(workers) is not int or workers < 0:
+        raise PipelineError(f"workers must be an int >= 0 (0 = one per CPU), got {workers!r}")
+    sources = getattr(model, "out_sources", None)
+    if type(sources) is not int or sources < 1:
+        raise PipelineError(f"model.out_sources must be an int >= 1, got {sources!r}")
+    channels = 2
+    streams_in = getattr(model, "in_channels", channels * fb.num_bands)
+    if streams_in != channels * fb.num_bands:
+        raise PipelineError(
+            f"model takes {streams_in} input streams but the {fb.num_bands}-band bank "
+            f"gives {channels * fb.num_bands} ({channels} channels x bands)"
+        )
     if x.sample_rate != PIPELINE_RATE:
         raise PipelineError(
             f"pipeline requires {PIPELINE_RATE} Hz input, got {x.sample_rate} Hz"
@@ -145,7 +158,6 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
     seg_len = int(round(SEGMENT_SECONDS * PIPELINE_RATE))
     count = -(-n // seg_len)
     # the only float32 copy of the input; a mono row fills both channels
-    channels = 2
     padded = np.zeros((channels, count * seg_len + fb.taps), dtype=np.float32)
     padded[:, :n] = x.samples
     streams = fbmod.analysis(Waveform(padded, PIPELINE_RATE), fb)
@@ -156,7 +168,7 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
     # the last segment also takes the tail past count * step
     bounds = [k * step for k in range(count)] + [streams.shape[1]]
     # one float32 array per source, so each is freed once synthesised
-    estimates = [np.empty(streams.shape, np.float32) for _ in range(model.out_sources)]
+    estimates = [np.empty(streams.shape, np.float32) for _ in range(sources)]
 
     def network(k):
         stage = "stft"
@@ -165,8 +177,8 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
             mix = spectral.to_magphase(spectral.stft_streams(streams[:, lo:hi]))
             stage = "forward"
             outs = model.forward(mix.magnitude, pool)
-            if len(outs) != model.out_sources:
-                raise ValueError(f"{len(outs)} outputs for out_sources = {model.out_sources}")
+            if len(outs) != sources:
+                raise ValueError(f"{len(outs)} outputs for out_sources = {sources}")
             frames = mix.magnitude.shape[1]
             for est, out in zip(estimates, outs):
                 stage = "cirm"
@@ -187,16 +199,4 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
     with _ONE_BLAS_THREAD.hold(), ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(network, range(count)))
         del streams  # the band streams are spent before synthesis adds its outputs
-        return list(pool.map(synthesize, range(model.out_sources)))
-
-
-def instrumental_residual(mixture: Waveform, vocals: Waveform) -> Waveform:
-    """Samplewise mixture minus vocals; a mono mixture is broadcast to stereo vocals."""
-    channels_ok = mixture.num_channels in (1, vocals.num_channels)
-    if not channels_ok or mixture.num_samples != vocals.num_samples:
-        raise PipelineError(
-            f"shape mismatch: mixture {mixture.samples.shape}, vocals {vocals.samples.shape}"
-        )
-    if mixture.sample_rate != vocals.sample_rate:
-        raise PipelineError("sample rate mismatch between mixture and vocals")
-    return Waveform(mixture.samples - vocals.samples, mixture.sample_rate)
+        return list(pool.map(synthesize, range(sources)))

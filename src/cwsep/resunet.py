@@ -194,6 +194,10 @@ class Model:
         self.params = params
 
     @property
+    def in_channels(self) -> int:
+        return self.config.in_channels
+
+    @property
     def out_sources(self) -> int:
         return self.config.out_sources
 

@@ -12,7 +12,6 @@ from cwsep import (
     Waveform,
     build,
     init_random,
-    instrumental_residual,
     separate,
 )
 from cwsep import pipeline, spectral
@@ -53,6 +52,13 @@ class BadPaddedSegment:
     def forward(self, mag, pool=None):
         shape = mag.shape if mag[:, -1].any() else (1, 1, 1)
         return IdentityModel().forward(np.zeros(shape, dtype=mag.dtype))
+
+
+class NoSources:
+    """A forward without `out_sources`."""
+
+    def forward(self, mag, pool=None):
+        return IdentityModel().forward(mag)
 
 
 class TestSeparate:
@@ -188,6 +194,36 @@ class TestSeparate:
         with pytest.raises(PipelineError, match="workers"):
             separate(x, IdentityModel(), fb4, workers=-1)
 
+    @pytest.mark.parametrize(
+        "model, bank, workers, cause",
+        [
+            (lambda: build(PRESETS["tiny"]), "fb8", 0,
+             "model takes 8 input streams but the 8-band bank gives 16 (2 channels x bands)"),
+            (lambda: build(PRESETS["tiny"]), "fb2", 0,
+             "model takes 8 input streams but the 2-band bank gives 4 (2 channels x bands)"),
+            (NoSources, "fb4", 0, "model.out_sources must be an int >= 1, got None"),
+            (lambda: IdentityModel(0), "fb4", 0, "model.out_sources must be an int >= 1, got 0"),
+            (lambda: IdentityModel(True), "fb4", 0,
+             "model.out_sources must be an int >= 1, got True"),
+            (IdentityModel, "fb4", 1.5, "workers must be an int >= 0 (0 = one per CPU), got 1.5"),
+            (IdentityModel, "fb4", "2", "workers must be an int >= 0 (0 = one per CPU), got '2'"),
+            (IdentityModel, "fb4", True,
+             "workers must be an int >= 0 (0 = one per CPU), got True"),
+        ],
+        ids=["tiny-fb8", "tiny-fb2", "no-out-sources", "zero-sources", "bool-sources",
+             "float-workers", "str-workers", "bool-workers"],
+    )
+    def test_broken_rule_named_before_work(self, request, monkeypatch, model, bank, workers,
+                                           cause):
+        def no_analysis(*args):
+            raise AssertionError("analysis ran")
+
+        monkeypatch.setattr("cwsep.filterbank.analysis", no_analysis)
+        x = noise_waveform(1.0, channels=2, seed=36)
+        with pytest.raises(PipelineError) as err:
+            separate(x, model(), request.getfixturevalue(bank), workers=workers)
+        assert str(err.value) == cause
+
     def test_zero_workers_count_the_cpus_this_process_may_use(self, fb4, monkeypatch):
         # under taskset or a cpuset the affinity mask, not the host's CPU count
         seen = []
@@ -301,8 +337,12 @@ class TestSeparate:
 
 class TestBlasThreads:
     def test_one_blas_thread_while_the_pool_runs(self, fb4):
-        # without numpy's OpenBLAS control only the run itself is checked
+        # a numpy built on scipy-openblas must expose its thread control;
+        # on another BLAS only the run itself is checked
         control = pipeline._openblas()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if blas == "scipy-openblas":
+            assert control is not None, "numpy's scipy-openblas thread control not found"
         seen = []
 
         class Recorder(IdentityModel):
@@ -338,50 +378,3 @@ class TestBlasThreads:
             assert get() == 2
         finally:
             set_(before)
-
-
-class TestResidual:
-    def test_vocals_equal_mixture(self):
-        x = noise_waveform(1.0, channels=2, seed=28)
-        r = instrumental_residual(x, x)
-        assert not r.samples.any()
-
-    def test_zero_vocals(self):
-        x = noise_waveform(1.0, channels=2, seed=29)
-        z = Waveform(np.zeros_like(x.samples), 44100)
-        assert np.array_equal(instrumental_residual(x, z).samples, x.samples)
-
-    def test_exact_decomposition(self):
-        # samples on a 2^-20 grid make add and subtract exact in float64,
-        # so the residual recovers the accompaniment bitwise
-        rng = np.random.default_rng(30)
-        grid = 2.0**20
-        v = np.round(0.1 * rng.standard_normal((2, 44100)) * grid) / grid
-        a = np.round(0.1 * rng.standard_normal((2, 44100)) * grid) / grid
-        vocals = Waveform(v, 44100)
-        accomp = Waveform(a, 44100)
-        mixture = Waveform(vocals.samples + accomp.samples, 44100)
-        r = instrumental_residual(mixture, vocals)
-        assert np.array_equal(r.samples, accomp.samples)
-
-    def test_length_mismatch(self):
-        a = noise_waveform(1.0, channels=2)
-        b = noise_waveform(0.5, channels=2)
-        with pytest.raises(PipelineError):
-            instrumental_residual(a, b)
-
-    def test_mono_mixture_matches_duplicated(self):
-        mono = noise_waveform(1.0, channels=1, seed=37)
-        vocals = noise_waveform(1.0, channels=2, seed=38)
-        stereo = Waveform(np.repeat(mono.samples, 2, axis=0), 44100)
-        r = instrumental_residual(mono, vocals)
-        assert np.array_equal(r.samples, instrumental_residual(stereo, vocals).samples)
-
-    def test_mono_mixture_mismatch(self):
-        vocals = noise_waveform(1.0, channels=2)
-        with pytest.raises(PipelineError, match="shape"):
-            instrumental_residual(noise_waveform(0.5, channels=1), vocals)
-        with pytest.raises(PipelineError, match="rate"):
-            instrumental_residual(Waveform(noise_waveform(1.0).samples, 48000), vocals)
-        with pytest.raises(PipelineError, match="shape"):
-            instrumental_residual(vocals, noise_waveform(1.0, channels=1))
