@@ -33,21 +33,12 @@ def _noise_probe(seconds: float) -> Waveform:
     return Waveform(0.1 * rng.standard_normal((1, n)), pipeline.PIPELINE_RATE)
 
 
-def _check_taps(taps: int, bands_list) -> None:
-    multiple = math.lcm(*(2 * b for b in bands_list))
-    if taps <= 0 or taps % multiple:
-        raise UsageError(
-            f"--taps must be a positive multiple of {multiple} (2 x bands), got {taps}"
-        )
-
-
 def cmd_design_filters(args) -> int:
-    _check_taps(args.taps, [args.bands])
-    fb = fbmod.design_filterbank(num_bands=args.bands, taps=args.taps)
+    fb = fbmod.design_filterbank(num_bands=args.bands)
     Path(args.out).write_text(fb.to_json())
     report = fbmod.measure_reconstruction(fb, _noise_probe(10.0))
     print(
-        f"designed {args.bands}-band/{args.taps}-tap bank -> {args.out}\n"
+        f"designed {args.bands}-band/{fb.taps}-tap bank -> {args.out}\n"
         f"reconstruction SNR on 10 s noise: {report.snr_db:.2f} dB "
         f"(max abs err {report.max_abs_err:.3e})",
         file=sys.stderr,
@@ -68,20 +59,19 @@ def cmd_recon_test(args) -> int:
                 f"--bands-list entry {entry!r} is not one of {fbmod.SUPPORTED_BANDS}"
             )
     bands_list = [supported[e] for e in entries]
-    _check_taps(args.taps, bands_list)
     if args.input is not None:
         probe, flag = read_wav(args.input), "--input"
     else:
         probe, flag = _noise_probe(args.noise_seconds), "--noise-seconds"
-    if probe.num_samples < 4 * args.taps:
+    if probe.num_samples < 4 * fbmod.TAPS:
         raise UsageError(
             f"{flag} gives a {probe.num_samples}-sample probe; "
-            f"at least {4 * args.taps} (4 x --taps) are needed"
+            f"at least {4 * fbmod.TAPS} (4 x the {fbmod.TAPS}-tap filter) are needed"
         )
     results = []
     print(f"{'bands':>6} {'snr_db':>10} {'max_abs_err':>12}", file=sys.stderr)
     for bands in bands_list:
-        fb = fbmod.design_filterbank(num_bands=bands, taps=args.taps)
+        fb = fbmod.design_filterbank(num_bands=bands)
         rep = fbmod.measure_reconstruction(fb, probe, precision=args.precision)
         results.append(
             {"bands": bands, "snr_db": rep.snr_db, "max_abs_err": rep.max_abs_err}
@@ -170,13 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design-filters", help="design an analysis/synthesis filterbank")
     p.add_argument("--bands", type=int, choices=fbmod.SUPPORTED_BANDS, required=True)
-    p.add_argument("--taps", type=int, default=fbmod.DEFAULT_TAPS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_design_filters)
 
     p = sub.add_parser("recon-test", help="measure subband reconstruction error")
     p.add_argument("--bands-list", default="2,4,8")
-    p.add_argument("--taps", type=int, default=fbmod.DEFAULT_TAPS)
     p.add_argument("--input", default=None, help="WAV probe file")
     p.add_argument("--noise-seconds", type=float, default=None, help="seeded white-noise probe")
     p.add_argument("--precision", choices=("f32", "f64"), default="f32")

@@ -33,7 +33,9 @@ from . import metrics
 from .wave_io import Waveform
 
 SUPPORTED_BANDS = (2, 4, 8)
-DEFAULT_TAPS = 64
+# Filter length of every designed bank: at 4 and 8 bands, 16-, 32- and
+# 48-tap designs are only 5-33 dB down outside their bands, 64 taps 35-37 dB.
+TAPS = 64
 # Default descent budget per band count. Fewer bands converge more
 # slowly per step (and each step is cheaper), so they get more steps;
 # the schedule keeps reconstruction SNR decreasing as bands increase.
@@ -41,27 +43,9 @@ DEFAULT_ITERATIONS = {2: 1800, 4: 1300, 8: 500}
 INITIAL_STEP = 1.0
 KAISER_BETA = 9.0  # window shape of the initial prototype
 
-# design is declared non-convergent above this cascade-error objective
-CONVERGENCE_THRESHOLD = 1e-3
-
 # Output samples per GEMM block of analysis and synthesis: one stereo
 # block of 64-tap windows is 0.5 MB in float32, 1 MB in float64.
 _BLOCK = 1024
-
-
-class FilterbankError(Exception):
-    pass
-
-
-class DesignError(FilterbankError):
-    """Optimization did not reach the convergence threshold."""
-
-    def __init__(self, objective: float, threshold: float):
-        self.objective = objective
-        super().__init__(
-            f"filter design did not converge: objective {objective:.3e} "
-            f"> threshold {threshold:.3e}"
-        )
 
 
 @dataclass(frozen=True)
@@ -207,24 +191,19 @@ class _CascadeObjective:
         )
 
 
-def design_filterbank(num_bands: int = 4, taps: int = DEFAULT_TAPS) -> FilterBank:
-    """Design a near-perfect-reconstruction cosine-modulated bank.
+def design_filterbank(num_bands: int = 4) -> FilterBank:
+    """Design a near-perfect-reconstruction cosine-modulated TAPS-tap bank.
 
     Deterministic: fixed initialization, no RNG. Gradient descent with
     exact gradients over the prototype coefficients, a deterministic
     halving/growing step rule from INITIAL_STEP, and the per-band step
-    budget from DEFAULT_ITERATIONS. Raises DesignError when the final
-    objective stays above the convergence threshold.
+    budget from DEFAULT_ITERATIONS.
     """
     if not isinstance(num_bands, (int, np.integer)) or num_bands not in SUPPORTED_BANDS:
         raise ValueError(f"num_bands must be one of {SUPPORTED_BANDS}, got {num_bands}")
-    if type(taps) is bool or not isinstance(taps, (int, np.integer)) or taps <= 0:
-        raise ValueError(f"taps must be a positive integer, got {taps!r}")
-    if taps % (2 * num_bands) != 0:
-        raise ValueError(f"taps must be a multiple of {2 * num_bands}, got {taps}")
 
-    objective = _CascadeObjective(num_bands, taps)
-    p = _prototype_init(taps, num_bands)
+    objective = _CascadeObjective(num_bands, TAPS)
+    p = _prototype_init(TAPS, num_bands)
 
     # cascade response is quadratic in p: rescale for unit passband gain
     t = objective.responses(p)
@@ -243,16 +222,13 @@ def design_filterbank(num_bands: int = 4, taps: int = DEFAULT_TAPS) -> FilterBan
         p, err, grad = p_next, err_next, grad_next
         step *= 1.2
 
-    if err > CONVERGENCE_THRESHOLD:
-        raise DesignError(err, CONVERGENCE_THRESHOLD)
-
     h, g = _modulate(p, num_bands)
     return FilterBank(
         num_bands=num_bands,
-        taps=taps,
+        taps=TAPS,
         analysis=h,
         synthesis=g,
-        system_delay=taps - 1,
+        system_delay=TAPS - 1,
     )
 
 

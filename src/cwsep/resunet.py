@@ -518,6 +518,8 @@ def read_store(path) -> WeightStore:
                 f"{path}: tensor entry {i} is not an object with a string 'name'"
             )
         name, shape = entry["name"], entry.get("shape")
+        if name in tensors:
+            raise WeightStoreError(f"{path}: tensor {name!r} is listed more than once")
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise WeightStoreError(
                 f"{path}: tensor {name!r} has shape {shape!r}, expected a list of integers >= 0"

@@ -184,7 +184,10 @@ def write_wav(w: Waveform, path, format: str = "pcm16") -> None:
             frames = block.T  # [frames, channels]: interleaved once made contiguous
             if format == "pcm16":
                 v = frames * 2.0**15
-                q = np.sign(v) * np.floor(np.abs(v) + 0.5)  # round half away from zero
+                # round half away from zero; v - trunc(v) is exact, where
+                # |v| + 0.5 rounds up just below a half in v's own dtype
+                t = np.trunc(v)
+                q = t + np.sign(v) * (np.abs(v - t) >= 0.5)
                 frames = np.clip(q, -32768, 32767)
             f.write(np.ascontiguousarray(frames, dtype=dtype))
         if data_bytes & 1:

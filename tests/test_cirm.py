@@ -104,6 +104,18 @@ class TestApply:
             apply_cirm(mp, constant_output((1, 1, 1)))
 
 
+OUTPUT_FIELDS = ("mask_logits", "phase_real", "phase_imag", "mag_residual")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", OUTPUT_FIELDS)
+def test_non_finite_output_names_the_field(field, bad):
+    fields = {name: np.zeros((1, 2, 3)) for name in OUTPUT_FIELDS}
+    fields[field][0, 1, 2] = bad
+    with pytest.raises(ValueError, match=f"^{field} contains NaN/Inf$"):
+        NetworkOutput(**fields)
+
+
 class TestGradients:
     def test_residual_gradient_is_one_when_active(self):
         mp, _ = random_magphase(seed=8)

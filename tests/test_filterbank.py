@@ -124,15 +124,6 @@ class TestDesign:
         with pytest.raises(ValueError, match="num_bands must be one of"):
             design_filterbank(2.0)
 
-    def test_taps_must_divide(self):
-        with pytest.raises(ValueError):
-            design_filterbank(4, taps=60)
-
-    @pytest.mark.parametrize("taps", [0, -64, 64.0, True, "64"])
-    def test_taps_must_be_a_positive_integer(self, taps):
-        with pytest.raises(ValueError, match="taps must be a positive integer"):
-            design_filterbank(4, taps=taps)
-
     def test_deterministic(self):
         a = design_filterbank(2)
         b = design_filterbank(2)
@@ -190,12 +181,11 @@ class TestDesign:
         stop = (w < j * np.pi / num_bands - margin) | (w > (j + 1) * np.pi / num_bands + margin)
         assert 20 * np.log10(np.max(mag[stop])) <= -33.0
 
-    def test_four_band_snr(self, fb4, noise10):
-        rep = measure_reconstruction(fb4, noise10)
-        assert rep.snr_db >= 60.0
-
-    def test_two_band_snr(self, fb2, noise10):
-        assert measure_reconstruction(fb2, noise10).snr_db >= 60.0
+    @pytest.mark.parametrize("num_bands, floor_db", [(2, 60.0), (4, 60.0), (8, 55.0)])
+    def test_reconstruction_snr(self, request, noise10, num_bands, floor_db):
+        # the designed banks give 67.3 / 66.6 / 58.6 dB on 10 s of noise
+        fb = request.getfixturevalue(f"fb{num_bands}")
+        assert measure_reconstruction(fb, noise10).snr_db >= floor_db
 
 
 class TestAnalysisSynthesis:

@@ -262,11 +262,20 @@ class TestSeparate:
             def forward(self, mag, pool=None):
                 return IdentityModel().forward(np.zeros((1, 1, 1), dtype=mag.dtype))
 
+        class NanMask:
+            out_sources = 1
+
+            def forward(self, mag, pool=None):
+                return [NetworkOutput(np.full_like(mag, np.nan), mag, mag, mag)]
+
         x = noise_waveform(1.0, channels=2, seed=33)
         with pytest.raises(PipelineError, match=r"segment 0 \(from 0 s\), forward: weights"):
             separate(x, RaisingForward(), fb4)
         with pytest.raises(PipelineError, match=r"segment 0 \(from 0 s\), cirm: "):
             separate(x, WrongShape(), fb4)
+        with pytest.raises(PipelineError) as err:
+            separate(x, NanMask(), fb4)
+        assert str(err.value) == "segment 0 (from 0 s), forward: mask_logits contains NaN/Inf"
 
     def test_shape_mismatch_names_the_segment_shapes(self, fb4):
         # the shapes are checked for the whole segment, before its first frame block

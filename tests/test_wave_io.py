@@ -137,6 +137,19 @@ def test_pcm16_clamps_positive_one(tmp_path):
     assert value == 32767
 
 
+@pytest.mark.parametrize("dtype, below_half", [
+    (np.float32, 0.5 - 2.0**-25),
+    (np.float64, 0.5 - 2.0**-25),
+    (np.float64, 0.5 - 2.0**-54),
+], ids=["f32-2^-25", "f64-2^-25", "f64-2^-54"])
+def test_pcm16_rounds_just_below_half_an_lsb_to_zero(tmp_path, dtype, below_half):
+    # |v| + 0.5 rounds up to 1.0 in the sample's own dtype at these values
+    x = np.array([[below_half, -below_half, 0.5, -0.5]], dtype=dtype) / dtype(2**15)
+    p = tmp_path / "h.wav"
+    write_wav(Waveform(x, 44100), p, format="pcm16")
+    assert struct.unpack("<4h", p.read_bytes()[-8:]) == (0, 0, 1, -1)
+
+
 def test_pcm16_round_trip_quantization(tmp_path):
     rng = np.random.default_rng(1)
     x = rng.uniform(-1, 1, size=(2, 10000))
