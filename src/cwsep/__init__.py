@@ -1,6 +1,6 @@
 """Channel-wise subband music source separation toolkit."""
 
-from .cirm import NetworkOutput, apply_cirm, cirm_gradients, identity_output
+from .cirm import NetworkOutput, apply_cirm, cirm_gradients
 from .filterbank import (
     FilterBank,
     ReconReport,
@@ -51,7 +51,6 @@ __all__ = [
     "NetworkOutput",
     "apply_cirm",
     "cirm_gradients",
-    "identity_output",
     "ModelConfig",
     "Model",
     "WeightStore",

@@ -167,16 +167,3 @@ def cirm_gradients(
         mag_residual=g_residual,
     )
 
-
-def identity_output(shape, dtype=np.float64) -> NetworkOutput:
-    """A NetworkOutput that makes apply_cirm reproduce the mixture.
-
-    sigmoid(40) == 1 to double precision; (Pr, Pi) = (1, 0) is zero
-    rotation.
-    """
-    return NetworkOutput(
-        mask_logits=np.full(shape, 40.0, dtype=dtype),
-        phase_real=np.ones(shape, dtype=dtype),
-        phase_imag=np.zeros(shape, dtype=dtype),
-        mag_residual=np.zeros(shape, dtype=dtype),
-    )

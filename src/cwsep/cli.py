@@ -47,8 +47,6 @@ def cmd_design_filters(args) -> int:
 
 
 def cmd_recon_test(args) -> int:
-    if args.input is None and args.noise_seconds is None:
-        raise UsageError("either --input or --noise-seconds is required")
     if args.noise_seconds is not None and not 0 < args.noise_seconds < math.inf:
         raise UsageError(f"--noise-seconds must be finite and > 0, got {args.noise_seconds}")
     supported = {str(b): b for b in fbmod.SUPPORTED_BANDS}
@@ -68,11 +66,13 @@ def cmd_recon_test(args) -> int:
             f"{flag} gives a {probe.num_samples}-sample probe; "
             f"at least {4 * fbmod.TAPS} (4 x the {fbmod.TAPS}-tap filter) are needed"
         )
+    dtype = {"f32": np.float32, "f64": np.float64}[args.precision]
+    probe = Waveform(probe.samples.astype(dtype, copy=False), probe.sample_rate)
     results = []
     print(f"{'bands':>6} {'snr_db':>10} {'max_abs_err':>12}", file=sys.stderr)
     for bands in bands_list:
         fb = fbmod.design_filterbank(num_bands=bands)
-        rep = fbmod.measure_reconstruction(fb, probe, precision=args.precision)
+        rep = fbmod.measure_reconstruction(fb, probe)
         results.append(
             {"bands": bands, "snr_db": rep.snr_db, "max_abs_err": rep.max_abs_err}
         )
@@ -89,6 +89,11 @@ def cmd_separate(args) -> int:
         raise UsageError(f"--sources names a source more than once: {args.sources!r}")
     if args.residual_instrumental and "vocals" not in sources:
         raise UsageError("--residual-instrumental requires 'vocals' among --sources")
+    out_dir = Path(args.out_dir)
+    # mkdir needs the nearest existing path to be a directory
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise UsageError(f"--out-dir {args.out_dir!r}: {nearest} is not a directory")
 
     try:
         mixture = read_wav(args.input)
@@ -111,7 +116,6 @@ def cmd_separate(args) -> int:
 
     estimates = pipeline.separate(mixture, model, fb)
 
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, est in zip(sources, estimates):
         path = out_dir / f"{name}.wav"
@@ -165,8 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recon-test", help="measure subband reconstruction error")
     p.add_argument("--bands-list", default="2,4,8")
-    p.add_argument("--input", default=None, help="WAV probe file")
-    p.add_argument("--noise-seconds", type=float, default=None, help="seeded white-noise probe")
+    probe = p.add_mutually_exclusive_group(required=True)
+    probe.add_argument("--input", help="WAV probe file")
+    probe.add_argument("--noise-seconds", type=float, help="seeded white-noise probe")
     p.add_argument("--precision", choices=("f32", "f64"), default="f32")
     p.set_defaults(func=cmd_recon_test)
 

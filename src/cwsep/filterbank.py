@@ -310,29 +310,27 @@ class ReconReport:
     max_abs_err: float
 
 
-def measure_reconstruction(fb: FilterBank, probe: Waveform, precision: str = "f64") -> ReconReport:
+def measure_reconstruction(fb: FilterBank, probe: Waveform) -> ReconReport:
     """Run the analysis->synthesis cascade and compare against the probe.
 
-    The cascade output is advanced by fb.system_delay and `taps` samples
-    are trimmed from each edge before computing SNR (metrics.sdr_global,
-    so exact reconstruction reads its 300 dB cap) and max abs error.
+    The cascade runs in the probe's dtype, as analysis and synthesis do.
+    Its output is advanced by fb.system_delay and `taps` samples are
+    trimmed from each edge before computing SNR (metrics.sdr_global, so
+    exact reconstruction reads its 300 dB cap) and max abs error.
     """
-    if precision not in ("f32", "f64"):
-        raise ValueError(f"precision must be 'f32' or 'f64', got {precision!r}")
     energy = float(np.sum(np.asarray(probe.samples, dtype=np.float64) ** 2))
     if energy == 0.0:
         raise ValueError("probe has zero energy")
     if probe.num_samples < 4 * fb.taps:
         raise ValueError(f"probe must be at least {4 * fb.taps} samples long")
 
-    dtype = np.float32 if precision == "f32" else np.float64
-    x = Waveform(probe.samples.astype(dtype), probe.sample_rate)
-    y = synthesis(analysis(x, fb), fb, x.sample_rate)
+    y = synthesis(analysis(probe, fb), fb, probe.sample_rate)
 
     d = fb.system_delay
-    n = min(x.num_samples - d, y.num_samples - d)
+    n = min(probe.num_samples - d, y.num_samples - d)
     t = fb.taps
-    ref = x.samples[:, t : n - t].astype(np.float64)
+    ref = probe.samples[:, t : n - t].astype(np.float64)
     est = y.samples[:, d + t : d + n - t].astype(np.float64)
-    snr = metrics.sdr_global(Waveform(ref, x.sample_rate), Waveform(est, x.sample_rate))
+    rate = probe.sample_rate
+    snr = metrics.sdr_global(Waveform(ref, rate), Waveform(est, rate))
     return ReconReport(snr_db=snr, max_abs_err=float(np.max(np.abs(ref - est))))

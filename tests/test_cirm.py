@@ -3,12 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+from cwsep import IdentityModel
 from cwsep.cirm import (
     NetworkOutput,
     _sigmoid,
     apply_cirm,
     cirm_gradients,
-    identity_output,
 )
 from cwsep.spectral import MagPhase, to_magphase
 
@@ -31,7 +31,7 @@ def constant_output(shape, mask=0.0, pr=1.0, pi=0.0, q=0.0):
 class TestApply:
     def test_identity_reproduces_mixture(self):
         mp, data = random_magphase()
-        rec = apply_cirm(mp, identity_output(mp.magnitude.shape))
+        rec = apply_cirm(mp, IdentityModel().forward(mp.magnitude)[0])
         assert np.max(np.abs(rec - data)) <= 1e-6
 
     def test_null_mask_zeros(self):
@@ -254,7 +254,7 @@ def test_phase_vectors_near_float32_max():
 class TestSigmoid:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_identity_logit_is_exactly_one(self, dtype):
-        # identity_output relies on sigmoid(40) == 1 for a bit-exact mixture
+        # IdentityModel relies on sigmoid(40) == 1 for a bit-exact mixture
         s = _sigmoid(np.full(4, 40.0, dtype=dtype))
         assert s.dtype == dtype
         assert np.all(s == 1.0)

@@ -10,6 +10,7 @@ from cwsep import (
     Waveform,
     build,
     init_random,
+    measure_reconstruction,
     read_wav,
     save_weights,
     write_store,
@@ -64,8 +65,14 @@ class TestDesignFilters:
         # every bank is designed at 64 taps, so --taps is an unknown option
         ["design-filters", "--bands", "4", "--taps", "64", "--out", "fb.json"],
         ["recon-test", "--taps", "64", "--noise-seconds", "1"],
-    ], ids=["bands-3", "design-taps", "recon-taps"])
+        # recon-test takes exactly one probe
+        ["recon-test", "--bands-list", "4", "--input", "p.wav", "--noise-seconds", "5"],
+    ], ids=["bands-3", "design-taps", "recon-taps", "two-probes"])
     def test_argparse_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        def no_design(*args, **kwargs):
+            raise AssertionError("bank designed")
+
+        monkeypatch.setattr("cwsep.filterbank.design_filterbank", no_design)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -100,9 +107,25 @@ class TestReconTest:
         assert snr64 >= snr32 - 0.01
 
     def test_missing_probe_usage_error(self, capsys):
-        code, _, err = run(capsys, "recon-test", "--bands-list", "4")
-        assert code == 2
-        assert "noise-seconds" in err
+        with pytest.raises(SystemExit) as e:
+            main(["recon-test", "--bands-list", "4"])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "noise-seconds" in captured.err
+
+    def test_precision_casts_the_probe(self, tmp_path, capsys, fb4):
+        wav = tmp_path / "probe.wav"
+        write_wav(noise_waveform(2.0), wav, format="float32")
+        code, out, _ = run(capsys, "recon-test", "--bands-list", "4",
+                           "--input", str(wav), "--precision", "f64")
+        assert code == 0
+        probe = read_wav(wav)
+        assert probe.samples.dtype == np.float32
+        rep = measure_reconstruction(
+            fb4, Waveform(probe.samples.astype(np.float64), probe.sample_rate))
+        row = json.loads(out)["results"][0]
+        assert (row["snr_db"], row["max_abs_err"]) == (rep.snr_db, rep.max_abs_err)
 
     def test_wav_probe(self, tmp_path, capsys):
         wav = tmp_path / "probe.wav"
@@ -291,6 +314,27 @@ class TestSeparate:
         assert code == 1
         assert "model takes 8 input streams but the 8-band bank gives 16" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_dir_on_a_file_before_analysis(self, tmp_path, capsys, monkeypatch,
+                                               fb_json_path, tiny_weights_path, under):
+        def no_analysis(*args):
+            raise AssertionError("analysis ran")
+
+        monkeypatch.setattr("cwsep.filterbank.analysis", no_analysis)
+        wav = tmp_path / "mix.wav"
+        write_wav(noise_waveform(1.0, channels=2), wav, format="float32")
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"keep me")
+        out_dir = taken / "o" if under else taken
+        code, out, err = run(capsys, "separate", "--input", str(wav),
+                             "--weights", str(tiny_weights_path),
+                             "--filters", str(fb_json_path),
+                             "--out-dir", str(out_dir))
+        assert code == 2
+        assert "--out-dir" in err and "is not a directory" in err
+        assert out == ""
+        assert taken.read_bytes() == b"keep me"
 
     @pytest.mark.parametrize("delay", [-5, 10**7])
     def test_out_of_range_delay_filter_stage(self, tmp_path, capsys, fb4, tiny_weights_path,

@@ -323,6 +323,19 @@ class TestMeasureReconstruction:
         with pytest.raises(ValueError):
             measure_reconstruction(fb4, Waveform(np.ones((1, 100)), 44100))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_runs_in_the_probes_dtype(self, fb4, noise10, monkeypatch, dtype):
+        seen = []
+
+        def recording_analysis(x, fb):
+            seen.append(x.samples.dtype)
+            return analysis(x, fb)
+
+        monkeypatch.setattr(filterbank, "analysis", recording_analysis)
+        probe = Waveform(noise10.samples.astype(dtype), noise10.sample_rate)
+        measure_reconstruction(fb4, probe)
+        assert seen == [dtype]
+
     def test_more_bands_more_error(self, fb2, fb4, fb8, noise10):
         s2 = measure_reconstruction(fb2, noise10).snr_db
         s4 = measure_reconstruction(fb4, noise10).snr_db
