@@ -87,8 +87,16 @@ def cmd_separate(args) -> int:
         raise UsageError("--sources must name at least one source")
     if len(set(sources)) != len(sources):
         raise UsageError(f"--sources names a source more than once: {args.sources!r}")
+    for name in sources:
+        # each source is written to <out-dir>/<name>.wav
+        if name in (".", "..") or Path(name).name != name:
+            raise UsageError(f"--sources name {name!r} is not a plain file name")
     if args.residual_instrumental and "vocals" not in sources:
         raise UsageError("--residual-instrumental requires 'vocals' among --sources")
+    if args.residual_instrumental and "instrumental" in sources:
+        raise UsageError(
+            "--residual-instrumental would overwrite the model's 'instrumental' source"
+        )
     out_dir = Path(args.out_dir)
     # mkdir needs the nearest existing path to be a directory
     nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())

@@ -6,6 +6,12 @@ gradient descent, with the exact gradient, on the reconstruction error
 of the full analysis->synthesis cascade. The cascade of a well-designed
 N-band/64-tap bank approximates a pure delay of taps-1 samples.
 
+A FilterBank is just its band count and that prototype, and so is its
+JSON: {"num_bands": N, "prototype": [64 coefficients]}. The analysis and
+synthesis filters are derived on construction. A bank file in the
+earlier format (analysis, synthesis, taps, system_delay) has no
+"prototype" and is refused; `cwsep design-filters` makes it again.
+
 Analysis filters each channel and keeps every N-th output sample
 starting at phase 0; synthesis inserts N-1 zeros after each band sample
 and filters. Both run polyphase, all bands and channels at once: one
@@ -24,7 +30,7 @@ output sample rate and returns a Waveform.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -48,60 +54,51 @@ KAISER_BETA = 9.0  # window shape of the initial prototype
 _BLOCK = 1024
 
 
+def _check_bands(num_bands) -> int:
+    if (isinstance(num_bands, bool) or not isinstance(num_bands, (int, np.integer))
+            or num_bands not in SUPPORTED_BANDS):
+        raise ValueError(f"num_bands must be one of {SUPPORTED_BANDS}, got {num_bands!r}")
+    return int(num_bands)
+
+
 @dataclass(frozen=True)
 class FilterBank:
+    """An N-band bank: its band count and its TAPS-tap lowpass prototype.
+
+    analysis and synthesis ([num_bands, TAPS]) are the prototype's cosine
+    modulations; the cascade approximates a delay of system_delay samples.
+    """
+
     num_bands: int
-    taps: int
-    analysis: np.ndarray  # [num_bands, taps]
-    synthesis: np.ndarray  # [num_bands, taps]
-    system_delay: int
+    prototype: np.ndarray  # [TAPS]
+    analysis: np.ndarray = field(init=False)  # [num_bands, TAPS]
+    synthesis: np.ndarray = field(init=False)  # [num_bands, TAPS]
+    taps = TAPS
+    system_delay = TAPS - 1
 
     def __post_init__(self):
-        for key in ("num_bands", "taps", "system_delay"):
-            n = getattr(self, key)
-            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-                raise ValueError(f"{key} must be an integer, got {n!r}")
-            object.__setattr__(self, key, int(n))
-        a = np.asarray(self.analysis, dtype=np.float64)
-        s = np.asarray(self.synthesis, dtype=np.float64)
-        if a.shape != (self.num_bands, self.taps) or s.shape != (self.num_bands, self.taps):
-            raise ValueError("filter matrices must be [num_bands, taps]")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(s))):
-            raise ValueError("filter coefficients must be finite")
-        # the cascade's impulse response spans 2 * (taps - 1) samples
-        max_delay = 2 * (self.taps - 1)
-        d = self.system_delay
-        if not 0 <= d <= max_delay:
-            raise ValueError(f"system_delay must be an integer in [0, {max_delay}], got {d!r}")
-        object.__setattr__(self, "analysis", a)
-        object.__setattr__(self, "synthesis", s)
+        n = _check_bands(self.num_bands)
+        p = np.asarray(self.prototype, dtype=np.float64)
+        if p.shape != (TAPS,):
+            raise ValueError(f"prototype must be {TAPS} coefficients, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("prototype coefficients must be finite")
+        h, g = _modulate(p, n)
+        for key, value in (("num_bands", n), ("prototype", p), ("analysis", h), ("synthesis", g)):
+            object.__setattr__(self, key, value)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "num_bands": self.num_bands,
-                "taps": self.taps,
-                "system_delay": self.system_delay,
-                "analysis": self.analysis.tolist(),
-                "synthesis": self.synthesis.tolist(),
-            }
-        )
+        return json.dumps({"num_bands": self.num_bands, "prototype": self.prototype.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "FilterBank":
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError(f"filter bank JSON is a {type(d).__name__}, not an object")
-        for key in ("num_bands", "taps", "analysis", "synthesis", "system_delay"):
+        for key in ("num_bands", "prototype"):
             if key not in d:
                 raise ValueError(f"filter bank JSON has no {key!r}")
-        return cls(
-            num_bands=d["num_bands"],
-            taps=d["taps"],
-            analysis=np.array(d["analysis"], dtype=np.float64),
-            synthesis=np.array(d["synthesis"], dtype=np.float64),
-            system_delay=d["system_delay"],
-        )
+        return cls(d["num_bands"], np.array(d["prototype"], dtype=np.float64))
 
 
 def _prototype_init(taps: int, num_bands: int) -> np.ndarray:
@@ -199,9 +196,7 @@ def design_filterbank(num_bands: int = 4) -> FilterBank:
     halving/growing step rule from INITIAL_STEP, and the per-band step
     budget from DEFAULT_ITERATIONS.
     """
-    if not isinstance(num_bands, (int, np.integer)) or num_bands not in SUPPORTED_BANDS:
-        raise ValueError(f"num_bands must be one of {SUPPORTED_BANDS}, got {num_bands}")
-
+    num_bands = _check_bands(num_bands)
     objective = _CascadeObjective(num_bands, TAPS)
     p = _prototype_init(TAPS, num_bands)
 
@@ -222,14 +217,7 @@ def design_filterbank(num_bands: int = 4) -> FilterBank:
         p, err, grad = p_next, err_next, grad_next
         step *= 1.2
 
-    h, g = _modulate(p, num_bands)
-    return FilterBank(
-        num_bands=num_bands,
-        taps=TAPS,
-        analysis=h,
-        synthesis=g,
-        system_delay=TAPS - 1,
-    )
+    return FilterBank(num_bands, p)
 
 
 def _polyphase(weights: np.ndarray, x: np.ndarray, window: int, step: int, out: np.ndarray):
@@ -263,8 +251,6 @@ def analysis(x: Waveform, fb: FilterBank) -> np.ndarray:
     y[c, j, m] = sum_t h[j, t] * x[c, N*m - t]: one blocked GEMM of the
     reversed analysis filters against every N-th length-`taps` window.
     """
-    if x.num_samples == 0:
-        raise ValueError("cannot analyze an empty signal")
     if x.num_samples < fb.taps:
         raise ValueError(f"signal length {x.num_samples} < filter length {fb.taps}")
     dtype = x.samples.dtype if x.samples.dtype in (np.float32, np.float64) else np.float64
@@ -280,7 +266,7 @@ def synthesis(bands: np.ndarray, fb: FilterBank, sample_rate: int) -> Waveform:
     """Recombine [channels, bands, length] streams; inverse of analysis up to fb.system_delay.
 
     out[c, N*m + r] = sum_j sum_i g[j, N*i + r] * s[c, j, m - i]: one
-    blocked GEMM of the [N, bands * ceil(taps/N)] polyphase components of
+    blocked GEMM of the [N, bands * taps/N] polyphase components of
     the synthesis filters against the lagged band samples, whose N output
     phases interleave into the full-rate signal.
     """
@@ -291,13 +277,10 @@ def synthesis(bands: np.ndarray, fb: FilterBank, sample_rate: int) -> Waveform:
         )
     N = fb.num_bands
     dtype = bands.dtype if bands.dtype in (np.float32, np.float64) else np.float64
-    depth = -(-fb.taps // N)  # taps per polyphase component, ceil
-    g = np.zeros((N, depth * N))
-    g[:, : fb.taps] = fb.synthesis
+    depth = fb.taps // N  # taps per polyphase component
     # [phase r, band j, lag]: g[j, N*i + r] with the lag axis reversed to
-    # match the oldest-first band windows; a short tail (taps not a
-    # multiple of N, or taps < N) is zero-padded
-    g = g.reshape(N, depth, N)[:, ::-1].transpose(2, 0, 1).reshape(N, N * depth)
+    # match the oldest-first band windows
+    g = fb.synthesis.reshape(N, depth, N)[:, ::-1].transpose(2, 0, 1).reshape(N, N * depth)
     channels, _, length = bands.shape
     out = np.empty((channels, length, N), dtype=dtype)
     _polyphase(g.astype(dtype), bands.astype(dtype, copy=False), depth, 1, out.transpose(0, 2, 1))

@@ -28,6 +28,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def earlier_format(doc):
+    """The bank file format that stored the modulated filters, not the prototype."""
+    fb = FilterBank.from_json(json.dumps(doc))
+    return {"num_bands": fb.num_bands, "taps": 64, "system_delay": 63,
+            "analysis": fb.analysis.tolist(), "synthesis": fb.synthesis.tolist()}
+
+
 @pytest.fixture(scope="module")
 def fb_json_path(tmp_path_factory, fb4):
     p = tmp_path_factory.mktemp("fb") / "fb4.json"
@@ -297,6 +304,30 @@ class TestSeparate:
         assert "--sources" in err and "vocals" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "sources, extra, cause",
+        [
+            ("voc/als", (), "--sources name 'voc/als' is not a plain file name"),
+            ("../x", (), "--sources name '../x' is not a plain file name"),
+            ("..", (), "--sources name '..' is not a plain file name"),
+            # the residual would replace the model's own instrumental estimate
+            ("vocals,instrumental", ("--residual-instrumental",),
+             "--residual-instrumental would overwrite the model's 'instrumental' source"),
+        ],
+        ids=["slash", "parent-path", "dot-dot", "instrumental-residual"],
+    )
+    def test_bad_source_names_usage_error(self, tmp_path, capsys, fb_json_path,
+                                          tiny_weights_path, sources, extra, cause):
+        # checked before the input is read: the input does not exist
+        out_dir = tmp_path / "a" / "o"
+        code, _, err = run(capsys, "separate", "--input", str(tmp_path / "missing.wav"),
+                           "--weights", str(tiny_weights_path),
+                           "--filters", str(fb_json_path),
+                           "--sources", sources, "--out-dir", str(out_dir), *extra)
+        assert code == 2
+        assert cause in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bank_weights_mismatch_before_analysis(self, tmp_path, capsys, monkeypatch, fb8,
                                                    tiny_weights_path):
         def no_analysis(*args):
@@ -336,23 +367,6 @@ class TestSeparate:
         assert out == ""
         assert taken.read_bytes() == b"keep me"
 
-    @pytest.mark.parametrize("delay", [-5, 10**7])
-    def test_out_of_range_delay_filter_stage(self, tmp_path, capsys, fb4, tiny_weights_path,
-                                             delay):
-        doc = json.loads(fb4.to_json())
-        doc["system_delay"] = delay
-        filters = tmp_path / "bad_fb.json"
-        filters.write_text(json.dumps(doc))
-        wav = tmp_path / "mix.wav"
-        write_wav(noise_waveform(1.0, channels=2), wav, format="float32")
-        code, _, err = run(capsys, "separate", "--input", str(wav),
-                           "--weights", str(tiny_weights_path),
-                           "--filters", str(filters),
-                           "--out-dir", str(tmp_path / "o"))
-        assert code == 1
-        assert "filter stage" in err and "system_delay" in err
-        assert not (tmp_path / "o").exists()
-
     def separate_with(self, tmp_path, capsys, filters, weights):
         wav = tmp_path / "mix.wav"
         write_wav(noise_waveform(1.0, channels=2), wav, format="float32")
@@ -367,14 +381,19 @@ class TestSeparate:
     @pytest.mark.parametrize(
         "edit, cause",
         [
-            (lambda doc: {k: v for k, v in doc.items() if k != "taps"},
-             "filter bank JSON has no 'taps'"),
+            (lambda doc: {k: v for k, v in doc.items() if k != "prototype"},
+             "filter bank JSON has no 'prototype'"),
             (lambda doc: [doc], "filter bank JSON is a list, not an object"),
             # 8 == 2 * 4.0 passed the weights stage, and separate failed unnamed
-            (lambda doc: {**doc, "num_bands": 4.0}, "num_bands must be an integer, got 4.0"),
-            (lambda doc: {**doc, "taps": 64.0}, "taps must be an integer, got 64.0"),
+            (lambda doc: {**doc, "num_bands": 4.0}, "num_bands must be one of (2, 4, 8), got 4.0"),
+            (lambda doc: {**doc, "prototype": doc["prototype"][:63]},
+             "prototype must be 64 coefficients, got shape (63,)"),
+            (lambda doc: {**doc, "prototype": doc["prototype"][:63] + [float("nan")]},
+             "prototype coefficients must be finite"),
+            (earlier_format, "filter bank JSON has no 'prototype'"),
         ],
-        ids=["no-taps", "list", "float-bands", "float-taps"],
+        ids=["no-prototype", "list", "float-bands", "short-prototype", "nan-prototype",
+             "earlier-format"],
     )
     def test_malformed_bank_named(self, tmp_path, capsys, fb4, tiny_weights_path, edit,
                                   cause):

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -64,17 +67,6 @@ def assert_matches_oracle(got, ref, dtype):
         assert err <= 1e-12
     else:
         assert err <= 1e-6 * np.max(np.abs(ref))
-
-
-def identity_bank(num_bands=4, taps=64):
-    """Perfect-reconstruction bank of shifted impulses, delay = num_bands."""
-    h = np.zeros((num_bands, taps))
-    g = np.zeros((num_bands, taps))
-    for b in range(num_bands):
-        h[b, b] = 1.0
-        g[b, num_bands - b] = 1.0
-    return FilterBank(num_bands=num_bands, taps=taps, analysis=h, synthesis=g,
-                      system_delay=num_bands)
 
 
 class TestDecimateZeroInsert:
@@ -238,21 +230,6 @@ class TestAnalysisSynthesis:
         g = fb.synthesis.astype(dtype).astype(np.float64)
         assert_matches_oracle(y, loop_synthesis(sb.astype(np.float64), g, num_bands), dtype)
 
-    @pytest.mark.parametrize("num_bands, taps", [(4, 10), (2, 7), (8, 5), (8, 1)])
-    def test_short_polyphase_tail(self, num_bands, taps):
-        # taps not a multiple of N, or taps < N: the last polyphase
-        # component of each filter is short or empty
-        rng = np.random.default_rng(taps)
-        h = rng.standard_normal((num_bands, taps))
-        g = rng.standard_normal((num_bands, taps))
-        fb = FilterBank(num_bands=num_bands, taps=taps, analysis=h, synthesis=g, system_delay=0)
-        x = rng.standard_normal((2, 203))
-
-        sb = analysis(Waveform(x, 44100), fb)
-        assert_matches_oracle(sb, loop_analysis(x, h, num_bands), np.float64)
-        y = synthesis(sb, fb, 44100).samples
-        assert_matches_oracle(y, loop_synthesis(sb, g, num_bands), np.float64)
-
     def test_synthesis_zero(self, fb4):
         w = synthesis(np.zeros((2, 4, 100)), fb4, 44100)
         assert w.samples.shape == (2, 400)
@@ -310,8 +287,16 @@ def test_separate_workers_bit_identical(fb8):
 
 
 class TestMeasureReconstruction:
-    def test_identity_bank_capped(self, noise10):
-        rep = measure_reconstruction(identity_bank(), noise10)
+    def test_identity_bank_capped(self, fb4, noise10, monkeypatch):
+        # no 64-tap prototype reconstructs exactly, so synthesis returns
+        # the probe delayed by exactly system_delay: the SNR reads the cap
+        def delayed_probe(bands, fb, sample_rate):
+            y = np.zeros_like(noise10.samples)
+            y[:, fb.system_delay :] = noise10.samples[:, : -fb.system_delay]
+            return Waveform(y, sample_rate)
+
+        monkeypatch.setattr(filterbank, "synthesis", delayed_probe)
+        rep = measure_reconstruction(fb4, noise10)
         assert rep.snr_db >= 300.0
         assert rep.max_abs_err == 0.0
 
@@ -358,25 +343,21 @@ class TestMeasureReconstruction:
 
 
 def test_json_round_trip(fb4, noise10):
+    assert list(json.loads(fb4.to_json())) == ["num_bands", "prototype"]
     back = FilterBank.from_json(fb4.to_json())
+    assert back.num_bands == fb4.num_bands
+    assert np.array_equal(back.prototype, fb4.prototype)
     assert np.array_equal(back.analysis, fb4.analysis)
     assert np.array_equal(back.synthesis, fb4.synthesis)
-    assert back.system_delay == fb4.system_delay
     a = measure_reconstruction(fb4, noise10)
     b = measure_reconstruction(back, noise10)
     assert a == b
 
 
-
-def test_system_delay_must_lie_in_cascade_span():
-    # the 64-tap cascade's impulse response spans 2 * 63 = 126 samples
-    h = np.zeros((4, 64))
-
-    def bank(delay):
-        return FilterBank(num_bands=4, taps=64, analysis=h, synthesis=h, system_delay=delay)
-
-    assert bank(0).system_delay == 0
-    assert type(bank(np.int64(126)).system_delay) is int
-    for delay in (-5, -1, 127, 10**7, 63.0, True, "63"):
-        with pytest.raises(ValueError, match="system_delay"):
-            bank(delay)
+def test_bank_is_band_count_and_prototype(fb4):
+    assert [f.name for f in fields(FilterBank) if f.init] == ["num_bands", "prototype"]
+    assert (fb4.taps, fb4.system_delay) == (64, 63)
+    assert type(FilterBank(np.int64(4), fb4.prototype).num_bands) is int
+    for bands in (3, True, "4"):
+        with pytest.raises(ValueError, match="num_bands must be one of"):
+            FilterBank(bands, fb4.prototype)
