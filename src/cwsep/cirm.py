@@ -27,7 +27,7 @@ DEFAULT_EPS = 1e-8
 _FIELDS = ("mask_logits", "phase_real", "phase_imag", "mag_residual")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkOutput:
     """Four same-shape real tensors per source: a network's estimate, or
     (from cirm_gradients) the gradient with respect to each of them."""

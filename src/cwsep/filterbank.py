@@ -42,7 +42,7 @@ SUPPORTED_BANDS = (2, 4, 8)
 # Filter length of every designed bank: at 4 and 8 bands, 16-, 32- and
 # 48-tap designs are only 5-33 dB down outside their bands, 64 taps 35-37 dB.
 TAPS = 64
-# Default descent budget per band count. Fewer bands converge more
+# Descent budget per band count, the only one. Fewer bands converge more
 # slowly per step (and each step is cheaper), so they get more steps;
 # the schedule keeps reconstruction SNR decreasing as bands increase.
 DEFAULT_ITERATIONS = {2: 1800, 4: 1300, 8: 500}
@@ -61,7 +61,7 @@ def _check_bands(num_bands) -> int:
     return int(num_bands)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterBank:
     """An N-band bank: its band count and its TAPS-tap lowpass prototype.
 
@@ -101,21 +101,21 @@ class FilterBank:
         return cls(d["num_bands"], np.array(d["prototype"], dtype=np.float64))
 
 
-def _prototype_init(taps: int, num_bands: int) -> np.ndarray:
+def _prototype_init(num_bands: int) -> np.ndarray:
     """Kaiser-windowed sinc lowpass, cutoff pi/(2N)."""
-    n = np.arange(taps)
-    mid = (taps - 1) / 2
+    n = np.arange(TAPS)
+    mid = (TAPS - 1) / 2
     wc = np.pi / (2 * num_bands)
     arg = n - mid
     safe = np.where(arg == 0, 1.0, arg)
     p = np.where(arg == 0, wc / np.pi, np.sin(wc * arg) / (np.pi * safe))
-    return p * np.kaiser(taps, KAISER_BETA)
+    return p * np.kaiser(TAPS, KAISER_BETA)
 
 
-def _modulation_matrices(taps: int, num_bands: int):
+def _modulation_matrices(num_bands: int):
     """Cosine modulation for analysis (CA) and synthesis (CS), [band, tap]."""
-    n = np.arange(taps)
-    mid = (taps - 1) / 2
+    n = np.arange(TAPS)
+    mid = (TAPS - 1) / 2
     j = np.arange(1, num_bands + 1)[:, None]
     phase = (2 * j - 1) * np.pi / (2 * num_bands) * (n[None, :] - mid)
     offset = (-1.0) ** j * np.pi / 4
@@ -123,7 +123,7 @@ def _modulation_matrices(taps: int, num_bands: int):
 
 
 def _modulate(p: np.ndarray, num_bands: int):
-    ca, cs = _modulation_matrices(len(p), num_bands)
+    ca, cs = _modulation_matrices(num_bands)
     return p[None, :] * ca, p[None, :] * cs
 
 
@@ -143,35 +143,35 @@ class _CascadeObjective:
     gives the exact gradient in closed form.
     """
 
-    def __init__(self, num_bands: int, taps: int):
+    def __init__(self, num_bands: int):
         N = num_bands
-        L = 2 * taps + N
-        K = (taps + N) // N + 1
+        L = 2 * TAPS + N
+        K = (TAPS + N) // N + 1
         k = np.arange(K)
         ph = np.arange(N)[:, None]
         hi = k[None, :] * N - ph
-        h_ok = (hi >= 0) & (hi < taps)
-        hi = np.clip(hi, 0, taps - 1)
+        h_ok = (hi >= 0) & (hi < TAPS)
+        hi = np.clip(hi, 0, TAPS - 1)
         n = np.arange(L)[None, :]
         gi = n - k[:, None] * N
-        g_ok = (gi >= 0) & (gi < taps)
-        gi = np.clip(gi, 0, taps - 1)
+        g_ok = (gi >= 0) & (gi < TAPS)
+        gi = np.clip(gi, 0, TAPS - 1)
 
-        ca, cs = _modulation_matrices(taps, N)
+        # zeroed out-of-range taps in the coupling void the clipped gathers
+        ca, cs = _modulation_matrices(N)
         a = ca[:, hi] * h_ok[None]  # [band, phase, k]
         g = cs[:, gi] * g_ok[None]  # [band, k, n]
         self._coupling = np.einsum("jpk,jkn->pkn", a, g)
         self._hi, self._gi = hi, gi
-        self._h_ok, self._g_ok = h_ok, g_ok
         self.target = np.zeros((N, L))
         for p in range(N):
-            self.target[p, taps - 1 + p] = 1.0
+            self.target[p, TAPS - 1 + p] = 1.0
 
     def responses(self, p: np.ndarray) -> np.ndarray:
         return self._cascade(p)[2]
 
     def _cascade(self, p: np.ndarray):
-        ph, pg = p[self._hi] * self._h_ok, p[self._gi] * self._g_ok
+        ph, pg = p[self._hi], p[self._gi]
         return ph, pg, np.einsum("pk,kn,pkn->pn", ph, pg, self._coupling)
 
     def __call__(self, p: np.ndarray):
@@ -180,11 +180,10 @@ class _CascadeObjective:
         d = t - self.target
         err = float(np.dot(d.ravel(), d.ravel()))
         d = 2 * d
-        d_ph = np.einsum("pn,kn,pkn->pk", d, pg, self._coupling) * self._h_ok
-        d_pg = np.einsum("pn,pk,pkn->kn", d, ph, self._coupling) * self._g_ok
-        taps = len(p)
-        return err, np.bincount(self._hi.ravel(), d_ph.ravel(), taps) + np.bincount(
-            self._gi.ravel(), d_pg.ravel(), taps
+        d_ph = np.einsum("pn,kn,pkn->pk", d, pg, self._coupling)
+        d_pg = np.einsum("pn,pk,pkn->kn", d, ph, self._coupling)
+        return err, np.bincount(self._hi.ravel(), d_ph.ravel(), TAPS) + np.bincount(
+            self._gi.ravel(), d_pg.ravel(), TAPS
         )
 
 
@@ -197,8 +196,8 @@ def design_filterbank(num_bands: int = 4) -> FilterBank:
     budget from DEFAULT_ITERATIONS.
     """
     num_bands = _check_bands(num_bands)
-    objective = _CascadeObjective(num_bands, TAPS)
-    p = _prototype_init(TAPS, num_bands)
+    objective = _CascadeObjective(num_bands)
+    p = _prototype_init(num_bands)
 
     # cascade response is quadratic in p: rescale for unit passband gain
     t = objective.responses(p)

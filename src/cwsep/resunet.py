@@ -441,7 +441,7 @@ def init_random(model: Model, seed: int) -> Model:
     return Model(model.config, params)
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightStore:
     config_hash: str
     tensors: dict  # name -> float32 ndarray, insertion-ordered

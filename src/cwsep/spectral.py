@@ -45,7 +45,7 @@ FRAME_BLOCK_BYTES = 1 << 20
 _TAP_ROWS = -(-WIN_LENGTH // HOP)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MagPhase:
     """Magnitude plus unit phasor per bin.
 

@@ -29,7 +29,7 @@ class TruncatedWavError(WavError):
     """Declared data-chunk size exceeds the bytes actually present."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Waveform:
     """A finite real-valued signal, one row per channel, at a positive integer sample rate."""
 
@@ -190,5 +190,3 @@ def write_wav(w: Waveform, path, format: str = "pcm16") -> None:
                 q = t + np.sign(v) * (np.abs(v - t) >= 0.5)
                 frames = np.clip(q, -32768, 32767)
             f.write(np.ascontiguousarray(frames, dtype=dtype))
-        if data_bytes & 1:
-            f.write(b"\x00")

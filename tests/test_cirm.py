@@ -107,6 +107,13 @@ class TestApply:
 OUTPUT_FIELDS = ("mask_logits", "phase_real", "phase_imag", "mag_residual")
 
 
+def test_shape_mismatch_names_the_field():
+    fields = {name: np.zeros((1, 2, 3)) for name in OUTPUT_FIELDS}
+    fields["phase_real"] = np.zeros((1, 2, 4))
+    with pytest.raises(ValueError, match=r"^phase_real has shape \(1, 2, 4\), expected \(1, 2, 3\)$"):
+        NetworkOutput(**fields)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("field", OUTPUT_FIELDS)
 def test_non_finite_output_names_the_field(field, bad):

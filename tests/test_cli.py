@@ -35,6 +35,13 @@ def earlier_format(doc):
             "analysis": fb.analysis.tolist(), "synthesis": fb.synthesis.tolist()}
 
 
+def store_bytes(header, version=1, header_len=None):
+    """A weight store of `header` (an object to dump, or its bytes) and no tensor data."""
+    text = header if isinstance(header, bytes) else json.dumps(header).encode()
+    declared = len(text) if header_len is None else header_len
+    return b"CWSW" + struct.pack("<IQ", version, declared) + text
+
+
 @pytest.fixture(scope="module")
 def fb_json_path(tmp_path_factory, fb4):
     p = tmp_path_factory.mktemp("fb") / "fb4.json"
@@ -310,11 +317,16 @@ class TestSeparate:
             ("voc/als", (), "--sources name 'voc/als' is not a plain file name"),
             ("../x", (), "--sources name '../x' is not a plain file name"),
             ("..", (), "--sources name '..' is not a plain file name"),
+            (",", (), "--sources must name at least one source"),
+            # the residual is the mixture less the vocals estimate
+            ("bass", ("--residual-instrumental",),
+             "--residual-instrumental requires 'vocals' among --sources"),
             # the residual would replace the model's own instrumental estimate
             ("vocals,instrumental", ("--residual-instrumental",),
              "--residual-instrumental would overwrite the model's 'instrumental' source"),
         ],
-        ids=["slash", "parent-path", "dot-dot", "instrumental-residual"],
+        ids=["slash", "parent-path", "dot-dot", "no-name", "residual-without-vocals",
+             "instrumental-residual"],
     )
     def test_bad_source_names_usage_error(self, tmp_path, capsys, fb_json_path,
                                           tiny_weights_path, sources, extra, cause):
@@ -367,9 +379,16 @@ class TestSeparate:
         assert out == ""
         assert taken.read_bytes() == b"keep me"
 
-    def separate_with(self, tmp_path, capsys, filters, weights):
+    def test_unreadable_input_named(self, tmp_path, capsys, fb_json_path, tiny_weights_path):
         wav = tmp_path / "mix.wav"
-        write_wav(noise_waveform(1.0, channels=2), wav, format="float32")
+        wav.write_bytes(b"not a wav")
+        err = self.separate_with(tmp_path, capsys, fb_json_path, tiny_weights_path, wav)
+        assert f"input stage: {wav}: not a RIFF/WAVE file" in err
+
+    def separate_with(self, tmp_path, capsys, filters, weights, wav=None):
+        if wav is None:
+            wav = tmp_path / "mix.wav"
+            write_wav(noise_waveform(1.0, channels=2), wav, format="float32")
         code, _, err = run(capsys, "separate", "--input", str(wav),
                            "--weights", str(weights),
                            "--filters", str(filters),
@@ -403,41 +422,52 @@ class TestSeparate:
         assert f"filter stage: {cause}" in err
 
     @pytest.mark.parametrize(
-        "header, cause",
+        "raw, cause",
         [
-            (None, "truncated header"),
-            ({"config_hash": "0", "config": None}, "header has no 'tensors'"),
-            ({"config_hash": "0", "config": [], "tensors": []},
+            (b"CWSW" + struct.pack("<I", 1) + bytes(2), "truncated header"),
+            (store_bytes({}, version=2), "unsupported store version 2"),
+            (store_bytes({}, header_len=1000), "truncated header"),
+            (store_bytes([]), "header is a list, not an object"),
+            (store_bytes({"config_hash": "0", "config": None}), "header has no 'tensors'"),
+            (store_bytes({"config_hash": "0", "config": [], "tensors": []}),
              "header's 'config' is not an object"),
-            ({"config_hash": "0", "config": {}, "tensors": [1]},
+            (store_bytes({"config_hash": "0", "config": {}, "tensors": {}}),
+             "header's 'tensors' is not a list"),
+            (store_bytes({"config_hash": "0", "config": {}, "tensors": [1]}),
              "tensor entry 0 is not an object with a string 'name'"),
-            ({"config_hash": "0", "config": {}, "tensors": [{"name": "a", "offset": 0}]},
+            (store_bytes({"config_hash": "0", "config": {},
+                          "tensors": [{"name": "a", "offset": 0}]}),
              "tensor 'a' has shape None, expected a list of integers >= 0"),
-            ({"config_hash": "0", "config": {}, "tensors": [{"name": "a", "shape": "abc"}]},
+            (store_bytes({"config_hash": "0", "config": {},
+                          "tensors": [{"name": "a", "shape": "abc"}]}),
              "tensor 'a' has shape 'abc', expected a list of integers >= 0"),
-            ({"config_hash": "0", "config": {"blocks_per_level": [1.5, 1]}, "tensors": []},
+            (store_bytes({"config_hash": "0", "config": {},
+                          "tensors": [{"name": "a", "shape": [2], "dtype": "f32",
+                                       "offset": 0}]}),
+             "truncated data for tensor 'a'"),
+            (store_bytes({"config_hash": "0", "config": {"blocks_per_level": [1.5, 1]},
+                          "tensors": []}),
              "blocks_per_level must be a sequence of integers >= 1, got [1.5, 1]"),
-            ({"config_hash": "0", "config": {"channels_per_level": [4, -8]}, "tensors": []},
+            (store_bytes({"config_hash": "0", "config": {"channels_per_level": [4, -8]},
+                          "tensors": []}),
              "channels_per_level must be a sequence of integers >= 1, got [4, -8]"),
-            ({"config_hash": "0", "config": {"blocks_per_level": 5}, "tensors": []},
+            (store_bytes({"config_hash": "0", "config": {"blocks_per_level": 5},
+                          "tensors": []}),
              "blocks_per_level must be a sequence of integers >= 1, got 5"),
-            (b"{not json", "header is not UTF-8 JSON"),
-            (b"\xff\xfe", "header is not UTF-8 JSON"),
+            (store_bytes(b"{not json"), "header is not UTF-8 JSON"),
+            (store_bytes(b"\xff\xfe"), "header is not UTF-8 JSON"),
             # a later entry of a name would replace the earlier one
-            ({"config_hash": "0", "config": {},
-              "tensors": [{"name": "a", "shape": [0], "dtype": "f32", "offset": 0}] * 2},
+            (store_bytes({"config_hash": "0", "config": {},
+                          "tensors": [{"name": "a", "shape": [0], "dtype": "f32",
+                                       "offset": 0}] * 2}),
              "tensor 'a' is listed more than once"),
         ],
-        ids=["ten-bytes", "no-tensors", "config-list", "int-entry", "no-shape", "string-shape",
-             "float-blocks", "negative-channels", "int-blocks", "not-json", "not-utf8",
-             "duplicate-name"],
+        ids=["ten-bytes", "version-2", "header-past-end", "list-header", "no-tensors",
+             "config-list", "tensors-object", "int-entry", "no-shape", "string-shape",
+             "data-past-end", "float-blocks", "negative-channels", "int-blocks", "not-json",
+             "not-utf8", "duplicate-name"],
     )
-    def test_malformed_store_named(self, tmp_path, capsys, fb_json_path, header, cause):
-        if header is None:
-            raw = b"CWSW" + struct.pack("<I", 1) + bytes(2)
-        else:
-            text = header if isinstance(header, bytes) else json.dumps(header).encode()
-            raw = b"CWSW" + struct.pack("<IQ", 1, len(text)) + text
+    def test_malformed_store_named(self, tmp_path, capsys, fb_json_path, raw, cause):
         weights = tmp_path / "bad.cwsw"
         weights.write_bytes(raw)
         err = self.separate_with(tmp_path, capsys, fb_json_path, weights)

@@ -195,13 +195,24 @@ def test_no_whole_track_float64_copies(metric):
     assert abs(got - oracle) <= 1e-9
 
 
-@pytest.mark.parametrize("metric", [
+# every metric of a reference and an estimate
+PAIR_METRICS = pytest.mark.parametrize("metric", [
     sdr_global,
     sdr_framewise_median,
     lambda a, b: energy_conservation_loss(a, [b]),
 ], ids=["sdr_global", "sdr_framewise_median", "energy_conservation_loss"])
+
+
+@PAIR_METRICS
 def test_sample_rate_mismatch_rejected(metric):
     ref = noise(seed=70)
     tagged = Waveform(ref.samples, 48000)
     with pytest.raises(MetricsError, match="44100 Hz vs 48000 Hz"):
         metric(ref, tagged)
+
+
+@PAIR_METRICS
+def test_shape_mismatch_rejected(metric):
+    ref = noise(seed=71)
+    with pytest.raises(MetricsError, match=r"shape mismatch: \(2, 44100\) vs \(1, 44100\)"):
+        metric(ref, Waveform(ref.samples[:1], 44100))

@@ -56,6 +56,10 @@ class TestBuild:
         with pytest.raises(ValueError):
             ModelConfig(blocks_per_level=(0,), channels_per_level=(4,))
 
+    def test_no_levels_rejected(self):
+        with pytest.raises(ValueError, match="at least one level required"):
+            ModelConfig(blocks_per_level=(), channels_per_level=())
+
     def test_wrong_target_count_rejected(self):
         with pytest.raises(ValueError, match="999"):
             ModelConfig(blocks_per_level=(1,), channels_per_level=(4,), target_layer_count=999)

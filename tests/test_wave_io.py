@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -284,6 +285,30 @@ def test_unsupported_bit_depth_rejected(tmp_path):
         read_wav(p)
 
 
+FMT16 = struct.pack("<HHIIHH", 1, 1, 44100, 88200, 2, 16)
+
+
+@pytest.mark.parametrize(
+    "raw, error, cause",
+    [
+        (make_wav_bytes(b"\x00\x00", fmt_body=FMT16[:12]), MalformedWavError,
+         "fmt chunk too short"),
+        (b"RIFF" + struct.pack("<I", 14) + b"WAVE" + b"data" + struct.pack("<I", 2) + bytes(2),
+         MalformedWavError, "missing fmt chunk"),
+        (b"RIFF" + struct.pack("<I", 28) + b"WAVE" + b"fmt " + struct.pack("<I", 16) + FMT16,
+         MalformedWavError, "missing data chunk"),
+        (make_wav_bytes(bytes(6), channels=3), UnsupportedWavError, "3 channels not supported"),
+        (make_wav_bytes(b"\x00\x00", sample_rate=0), MalformedWavError, "bad sample rate 0"),
+    ],
+    ids=["12-byte-fmt", "no-fmt", "no-data", "3-channels", "rate-0"],
+)
+def test_malformed_header_named(tmp_path, raw, error, cause):
+    p = tmp_path / "m.wav"
+    p.write_bytes(raw)
+    with pytest.raises(error, match=re.escape(f"{p}: {cause}") + "$"):
+        read_wav(p)
+
+
 def test_unknown_chunks_ignored(tmp_path):
     payload = struct.pack("<h", 16384)
     base = make_wav_bytes(payload)
@@ -303,7 +328,16 @@ def test_nan_refused():
         write_wav(w, "/tmp/never.wav", format="float32")
 
 
+def test_unknown_write_format_rejected(tmp_path):
+    p = tmp_path / "w.wav"
+    with pytest.raises(ValueError, match="format must be 'pcm16' or 'float32', got 'pcm24'"):
+        write_wav(Waveform(np.zeros((1, 10)), 44100), p, format="pcm24")
+    assert not p.exists()
+
+
 def test_waveform_invariants():
+    with pytest.raises(ValueError, match=r"2-D \[channels, length\], got shape \(10,\)"):
+        Waveform(np.zeros(10), 44100)
     with pytest.raises(ValueError):
         Waveform(np.zeros((3, 10)), 44100)
     with pytest.raises(ValueError):
