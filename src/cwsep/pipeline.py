@@ -1,13 +1,13 @@
 """End-to-end separation driver.
 
-The filterbank runs once per track: the whole input is analysed, the
-band streams are cut into 10 s segments (rectangular, no overlap) for
-the network stage only: STFT -> network -> complex-mask reconstruction
--> iSTFT. spectral.istft asks apply_cirm for one frame block at a time,
-so no whole-segment masked spectrogram is built. Each segment writes
-its columns of one float32 [channels * bands, length] estimate array
-per source. Each source is synthesised once from its array, which is
-then freed, and cut at the filterbank delay.
+The filterbank runs once per track, on the input plus the filter tail.
+Only the network stage (STFT -> network -> cIRM -> iSTFT) runs on
+rectangular segments of SEGMENT_SAMPLES input samples, whole 32-frame
+blocks of the track's frame grid; the last takes the rest and the tail.
+spectral.istft asks apply_cirm for one frame block at a time, so no
+whole-segment masked spectrogram is built. Each segment writes its
+columns of one float32 [channels * bands, length] estimate array per
+source, which is synthesised once, then freed, and cut at the delay.
 
 Segments run independently on a thread pool of `workers` threads, so
 the output does not depend on the number of workers; the filterbank
@@ -44,7 +44,8 @@ from .filterbank import FilterBank
 from .wave_io import Waveform
 
 PIPELINE_RATE = 44100
-SEGMENT_SECONDS = 10.0
+# 10.2168 s: 2048 / 1024 / 512 frame hops of the 2- / 4- / 8-band streams
+SEGMENT_SAMPLES = 4096 * spectral.HOP
 
 
 class PipelineError(Exception):
@@ -136,11 +137,11 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
     thread meanwhile. Output order and values are independent of
     scheduling. Before any work, PipelineError names `workers` that is
     not an int >= 0, `model.out_sources` that is not an int >= 1, a
-    declared `model.in_channels` other than 2 x bands, another rate or
-    an empty input. A failing segment raises PipelineError naming its index,
-    start time and stage (stft, forward, cirm: output shapes, or istft: a
-    source's decode); a forward pass that returns other than
-    `model.out_sources` outputs fails in its forward stage.
+    declared `model.in_channels` other than 2 x bands, another rate, an
+    empty input or samples beyond float32. A failing segment raises
+    PipelineError naming its index, start time and stage (stft, forward,
+    cirm: output shapes, or istft: a source's decode); a forward pass that
+    returns other than `model.out_sources` outputs fails in its forward stage.
     """
     if type(workers) is not int or workers < 0:
         raise PipelineError(f"workers must be an int >= 0 (0 = one per CPU), got {workers!r}")
@@ -161,18 +162,19 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
     n = x.num_samples
     if n == 0:
         raise PipelineError("cannot separate an empty signal")
-    # whole segments plus the filter length, so the delayed tail survives
-    seg_len = int(round(SEGMENT_SECONDS * PIPELINE_RATE))
-    count = -(-n // seg_len)
-    # the only float32 copy of the input; a mono row fills both channels
-    padded = np.zeros((channels, count * seg_len + fb.taps), dtype=np.float32)
-    padded[:, :n] = x.samples
+    count = -(-n // SEGMENT_SAMPLES)
+    # the only float32 copy, with the filter's delayed tail; a mono row fills both channels
+    padded = np.zeros((channels, n + fb.taps), dtype=np.float32)
+    try:
+        with np.errstate(over="raise"):
+            padded[:, :n] = x.samples
+    except FloatingPointError:
+        raise PipelineError("samples exceed the float32 range (|x| <= 3.4028235e38)") from None
     streams = fbmod.analysis(Waveform(padded, PIPELINE_RATE), fb)
     del padded
     # channel-major [channels * bands, length]: one row per band stream
     streams = streams.reshape(channels * fb.num_bands, -1)
-    step = seg_len // fb.num_bands
-    # the last segment also takes the tail past count * step
+    step = SEGMENT_SAMPLES // fb.num_bands
     bounds = [k * step for k in range(count)] + [streams.shape[1]]
     # one float32 array per source, so each is freed once synthesised
     estimates = [np.empty(streams.shape, np.float32) for _ in range(sources)]
@@ -194,7 +196,7 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
                 spectral.istft(lambda f0, f1: apply_cirm(*views(f0, f1)), frames, est[:, lo:hi])
         except Exception as e:
             raise PipelineError(
-                f"segment {k} (from {k * SEGMENT_SECONDS:g} s), {stage}: {e}"
+                f"segment {k} (from {k * SEGMENT_SAMPLES / PIPELINE_RATE:g} s), {stage}: {e}"
             ) from e
 
     def synthesize(source):

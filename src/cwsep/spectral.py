@@ -3,10 +3,10 @@
 The grid is fixed and described only by this module's constants:
 periodic Hann window of WIN_LENGTH = 512 samples, hop HOP = 110, FFT
 size equal to the window, one-sided, so BINS = 257 bins per frame.
-Signals are zero-padded by WIN_LENGTH/2 on each side before framing;
-the inverse uses weighted overlap-add with window-squared normalization
-(floored at 1e-8), which is exact on interior samples even though hop
-110 is not a COLA hop for Hann.
+Signals are zero-padded by WIN_LENGTH/2 on each side before framing, so
+n >= 1 samples give n // HOP + 1 frames; the inverse uses weighted
+overlap-add with window-squared normalization (floored at 1e-8), which
+is exact on interior samples even though hop 110 is not COLA for Hann.
 
 A spectrogram is a plain complex ndarray [channels, frames, BINS]. Its
 entries are not scanned for NaN/Inf here: in the pipeline every
@@ -71,8 +71,6 @@ def stft_streams(streams: np.ndarray) -> np.ndarray:
     """STFT of streams [channels, length] -> [channels, frames, BINS]; f32 in, complex64 out."""
     streams = np.atleast_2d(np.asarray(streams))
     channels, n = streams.shape
-    if n < WIN_LENGTH:
-        raise ValueError(f"signal length {n} < window length {WIN_LENGTH}")
     pad = WIN_LENGTH // 2
     x = np.pad(streams, ((0, 0), (pad, pad)))
     real = np.result_type(streams.dtype, np.float32)

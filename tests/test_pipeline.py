@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -40,18 +42,35 @@ def within(timeout, fn, *args, **kwargs):
     return box["value"]
 
 
-class BadPaddedSegment:
-    """Returns a wrongly shaped output for a segment whose last frame is silent.
+def full_segment_frames(bands):
+    """STFT frames of a segment of SEGMENT_SAMPLES input samples: 4096 / bands + 1."""
+    return pipeline.SEGMENT_SAMPLES // bands // spectral.HOP + 1
 
-    `separate` zero-pads its input to whole 10 s segments, so of a 15 s
-    noise input only segment 1 ends in silence, whichever thread runs it.
+
+class BadShortSegment:
+    """Returns a wrongly shaped output for a segment shorter than a full one.
+
+    Of a 15 s input only segment 1, the last, is short, whichever thread
+    runs it.
     """
 
     out_sources = 1
 
     def forward(self, mag, pool=None):
-        shape = mag.shape if mag[:, -1].any() else (1, 1, 1)
-        return IdentityModel().forward(np.zeros(shape, dtype=mag.dtype))
+        full = mag.shape[1] == full_segment_frames(mag.shape[0] // 2)
+        return IdentityModel().forward(np.zeros(mag.shape if full else (1, 1, 1), mag.dtype))
+
+
+class ShapeRecorder(IdentityModel):
+    """An IdentityModel that keeps the shape of every magnitude it is given."""
+
+    def __init__(self, out_sources=1):
+        super().__init__(out_sources)
+        self.shapes = []
+
+    def forward(self, mag, pool=None):
+        self.shapes.append(mag.shape)
+        return super().forward(mag)
 
 
 class NoSources:
@@ -110,8 +129,7 @@ class TestSeparate:
 
     @pytest.mark.parametrize("seconds", [20.0, 25.0])
     def test_identity_whole_signal_snr(self, fb4, seconds):
-        # no edge trimming: segment boundaries and the delayed tail count;
-        # at 20 s the last segment ends exactly at the end of the input
+        # no edge trimming: segment boundaries and the delayed tail count
         x = noise_waveform(seconds, channels=2, seed=26)
         est = separate(x, IdentityModel(), fb4)[0]
         s, sh = x.samples, est.samples
@@ -119,21 +137,52 @@ class TestSeparate:
         assert snr >= 55.0
 
     @pytest.mark.parametrize(
-        "bank, shape", [("fb2", (4, 2005, 257)), ("fb4", (8, 1003, 257)), ("fb8", (16, 502, 257))]
+        "bank, shape", [("fb2", (4, 2049, 257)), ("fb4", (8, 1025, 257)), ("fb8", (16, 513, 257))]
     )
     def test_every_segment_has_one_network_shape(self, request, bank, shape):
-        # the last segment also carries the filter tail, yet the network
-        # sees the same frames as for a plain 10 s segment
-        shapes = []
-
-        class Recorder(IdentityModel):
-            def forward(self, mag, pool=None):
-                shapes.append(mag.shape)
-                return super().forward(mag)
-
+        # every full segment sees 4096 / bands + 1 frames; the last one,
+        # 0.07 s of input plus the filter tail, sees fewer
+        model = ShapeRecorder()
         x = noise_waveform(20.5, channels=2, seed=33)
-        separate(x, Recorder(), request.getfixturevalue(bank))
-        assert shapes == [shape] * 3
+        separate(x, model, request.getfixturevalue(bank))
+        assert shape[1] == full_segment_frames(shape[0] // 2)
+        assert model.shapes[:2] == [shape] * 2
+        assert len(model.shapes) == 3 and model.shapes[2][1] < shape[1]
+
+    @pytest.mark.parametrize("bank", ["fb4", "fb8"])
+    def test_segments_match_one_segment_run(self, request, monkeypatch, bank):
+        # every segment starts on the whole-track frame grid and pooling
+        # phase, so away from the boundaries a segmented `tiny` run has
+        # the bits of a one-segment run
+        fb = request.getfixturevalue(bank)
+        config = dataclasses.replace(PRESETS["tiny"], in_channels=2 * fb.num_bands)
+        model = init_random(build(config), seed=47)
+        x = noise_waveform(25.0, channels=2, seed=48)
+        n, seg, margin = x.num_samples, pipeline.SEGMENT_SAMPLES, 22050
+        segmented = separate(x, model, fb, workers=2)[0].samples
+        monkeypatch.setattr(pipeline, "SEGMENT_SAMPLES", 2 * n)
+        whole = separate(x, model, fb, workers=2)[0].samples
+        t = np.arange(n)
+        keep = (t >= margin) & (t < n - margin)
+        for edge in range(seg, n, seg):
+            keep &= np.abs(t - edge) > margin
+        assert keep.sum() > n // 2
+        assert np.array_equal(segmented[:, keep], whole[:, keep])
+
+    @pytest.mark.parametrize("bank", ["fb2", "fb4", "fb8"])
+    def test_edge_lengths(self, request, bank):
+        # any length >= 1 comes back whole; the filter tail never becomes
+        # a segment of its own
+        fb = request.getfixturevalue(bank)
+        seg = pipeline.SEGMENT_SAMPLES
+        for n, forwards in ((1, 1), (100, 1), (seg, 1), (seg + 1, 2), (2 * seg, 2),
+                            (2 * seg + 1, 3)):
+            model = ShapeRecorder()
+            x = Waveform(np.random.default_rng(n).standard_normal((1, n)), 44100)
+            out = separate(x, model, fb)[0]
+            assert out.samples.shape == (2, n)
+            assert np.all(np.isfinite(out.samples))
+            assert len(model.shapes) == forwards, n
 
     def test_network_input_is_channel_major(self, fb4):
         # rows 0..B-1 of the network input are the left channel's bands,
@@ -246,8 +295,22 @@ class TestSeparate:
 
     def test_failing_segment_is_named(self, fb4):
         x = noise_waveform(15.0, channels=2, seed=32)
-        with pytest.raises(PipelineError, match=r"segment 1 \(from 10 s\)"):
-            separate(x, BadPaddedSegment(), fb4, workers=1)
+        with pytest.raises(PipelineError, match=r"segment 1 \(from 10\.2168 s\)"):
+            separate(x, BadShortSegment(), fb4, workers=1)
+
+    def test_float32_overflow_named_before_analysis(self, fb4, monkeypatch):
+        # the float32 copy is the one cast; a finite float64 beyond its
+        # range would reach synthesis as Inf
+        def no_analysis(*args):
+            raise AssertionError("analysis ran")
+
+        monkeypatch.setattr("cwsep.filterbank.analysis", no_analysis)
+        samples = noise_waveform(1.0, channels=2, seed=49).samples
+        samples[1, 100] = -1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PipelineError, match="float32 range"):
+                separate(Waveform(samples, 44100), IdentityModel(), fb4)
 
     def test_failing_stage_is_named(self, fb4):
         class RaisingForward:
@@ -370,8 +433,8 @@ class TestBlasThreads:
             separate(x, Recorder(), fb4, workers=2)
             assert seen == [1, 1]
             assert get() == 2
-            with pytest.raises(PipelineError, match=r"segment 1 \(from 10 s\)"):
-                separate(x, BadPaddedSegment(), fb4, workers=2)
+            with pytest.raises(PipelineError, match=r"segment 1 \(from 10\.2168 s\)"):
+                separate(x, BadShortSegment(), fb4, workers=2)
             assert get() == 2
             separate(x, Recorder(), fb4, workers=1)
             assert seen[2:] == [1, 1]

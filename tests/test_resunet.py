@@ -472,7 +472,7 @@ class TestBlockChain:
 @pytest.mark.parametrize("preset", ["vocals-276", "other-166"])
 def test_avgpool_is_the_mean_bit_for_bit(preset, frames):
     # the input of every pool level of a [8, frames, 257] forward; 8, 4
-    # and 2 bands give 502, 1003 and 2005 frames per 10 s segment
+    # and 2 bands give 502, 1003 and 2005 frames for a 10 s input
     cfg = PRESETS[preset]
     mult = 2**cfg.num_levels
     hgt, wid = -(-frames // mult) * mult, -(-257 // mult) * mult
