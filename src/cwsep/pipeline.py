@@ -140,8 +140,9 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
     declared `model.in_channels` other than 2 x bands, another rate, an
     empty input or samples beyond float32. A failing segment raises
     PipelineError naming its index, start time and stage (stft, forward,
-    cirm: output shapes, or istft: a source's decode); a forward pass that
-    returns other than `model.out_sources` outputs fails in its forward stage.
+    cirm: output shapes, or istft: a source's decode, where a float32
+    overflow or invalid value raises); a forward pass that returns other
+    than `model.out_sources` outputs fails in its forward stage.
     """
     if type(workers) is not int or workers < 0:
         raise PipelineError(f"workers must be an int >= 0 (0 = one per CPU), got {workers!r}")
@@ -188,12 +189,13 @@ def separate(x: Waveform, model, fb: FilterBank, workers: int = 0):
             outs = model.forward(mix.magnitude, pool)
             if len(outs) != sources:
                 raise ValueError(f"{len(outs)} outputs for out_sources = {sources}")
-            frames = mix.magnitude.shape[1]
-            for est, out in zip(estimates, outs):
-                stage = "cirm"
-                views = frame_views(mix, out)
-                stage = "istft"
-                spectral.istft(lambda f0, f1: apply_cirm(*views(f0, f1)), frames, est[:, lo:hi])
+            # errstate is per thread, so set here; the forward, tiled over threads, is outside
+            with np.errstate(over="raise", invalid="raise"):
+                for est, out in zip(estimates, outs):
+                    stage = "cirm"
+                    views = frame_views(mix, out)
+                    stage = "istft"
+                    spectral.istft(lambda f0, f1: apply_cirm(*views(f0, f1)), est[:, lo:hi])
         except Exception as e:
             raise PipelineError(
                 f"segment {k} (from {k * SEGMENT_SAMPLES / PIPELINE_RATE:g} s), {stage}: {e}"

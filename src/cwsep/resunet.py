@@ -85,7 +85,6 @@ class ModelConfig:
     out_sources: int = 1
     blocks_per_level: tuple = (1, 1)
     channels_per_level: tuple = (4, 8)
-    target_layer_count: int | None = None
 
     def __post_init__(self):
         for key in ("in_channels", "out_sources"):
@@ -106,22 +105,14 @@ class ModelConfig:
             )
         if len(self.blocks_per_level) == 0:
             raise ValueError("at least one level required")
-        target = self.target_layer_count
-        if target is not None and (type(target) is not int or target < 1):
-            raise ValueError(f"target_layer_count must be None or an integer >= 1, got {target!r}")
-        n = count_layers(self)
-        if target is not None and n != target:
-            raise ValueError(f"config targets {target} conv layers but builds {n}")
 
     @property
     def num_levels(self) -> int:
         return len(self.blocks_per_level)
 
     def config_hash(self) -> str:
-        """Hash of the architecture; the layer-count target does not change it."""
-        doc = asdict(self)
-        del doc["target_layer_count"]
-        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+        """Hash of the architecture."""
+        return hashlib.sha256(json.dumps(asdict(self), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _param_shapes(config: ModelConfig):
@@ -167,7 +158,6 @@ PRESETS = {
         out_sources=1,
         blocks_per_level=(13,) * 5,
         channels_per_level=(16, 32, 48, 64, 80),
-        target_layer_count=276,
     ),
     # 3 levels x 13 blocks: 4*39 + 3*3 + 1 = 166 convs
     "other-166": ModelConfig(
@@ -175,7 +165,6 @@ PRESETS = {
         out_sources=4,
         blocks_per_level=(13,) * 3,
         channels_per_level=(16, 32, 48),
-        target_layer_count=166,
     ),
     "tiny": ModelConfig(
         in_channels=8,
@@ -550,7 +539,8 @@ def model_from_store(store: WeightStore) -> Model:
     The config hash, every parameter name and every shape must match.
     float32 tensors are taken as they are, not copied.
     """
-    config = ModelConfig(**store.config)
+    # headers written before the layer count was derived also record it
+    config = ModelConfig(**{k: v for k, v in store.config.items() if k != "target_layer_count"})
     expected_hash = config.config_hash()
     if store.config_hash != expected_hash:
         raise WeightStoreError(

@@ -104,20 +104,18 @@ def _window_sum(num_frames: int, dtype) -> np.ndarray:
     return norm.reshape(-1)[: WIN_LENGTH + (num_frames - 1) * HOP]
 
 
-def istft(block, num_frames: int, out: np.ndarray) -> np.ndarray:
-    """Weighted overlap-add inverse of a num_frames-frame spectrogram into out [channels, n].
+def istft(block, out: np.ndarray) -> np.ndarray:
+    """Weighted overlap-add inverse of the n // HOP + 1 frames of out [channels, n].
 
-    block(lo, hi) returns frames lo:hi as [channels, hi - lo, BINS]; it
-    is called once per frame block, in order, and each block's inverse
-    FFT, window and overlap-add run while it is in cache. The arithmetic
-    is in out's dtype and equals that of one whole-spectrogram pass.
-    Returns out.
+    stft_streams gives n samples these frames. block(lo, hi) returns
+    frames lo:hi as [channels, hi - lo, BINS]; it is called once per
+    frame block, in order, and each block's inverse FFT, window and
+    overlap-add run while it is in cache. The arithmetic is in out's
+    dtype and equals that of one whole-spectrogram pass. Returns out.
     """
     channels, n = out.shape
     pad = WIN_LENGTH // 2
-    covered = WIN_LENGTH + (num_frames - 1) * HOP - pad
-    if n > covered:
-        raise ValueError(f"requested {n} samples but {num_frames} frames only cover {covered}")
+    num_frames = n // HOP + 1
     acc = np.zeros((channels, num_frames + _TAP_ROWS - 1, HOP), out.dtype)
     win = _hann(WIN_LENGTH).astype(out.dtype)
     frames = None

@@ -26,9 +26,9 @@ def noise_waveform(seconds, channels=1, sample_rate=44100, seed=1234, amp=0.1):
 
 
 def whole_istft(spec, out_length):
-    """istft of a whole [channels, frames, BINS] spectrogram into a new array."""
+    """istft into a new out_length-sample array, of the frames it takes from spec."""
     out = np.empty((spec.shape[0], out_length), np.result_type(spec.real.dtype, np.float32))
-    return istft(lambda lo, hi: spec[:, lo:hi], spec.shape[1], out)
+    return istft(lambda lo, hi: spec[:, lo:hi], out)
 
 
 @pytest.fixture(scope="session")

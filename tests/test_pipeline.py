@@ -356,6 +356,27 @@ class TestSeparate:
         expected = f"cirm: network output shape (1, 1, 1) != mixture shape {seen[0]}"
         assert str(err.value).endswith(expected)
 
+    def test_decode_overflow_is_named(self, fb4):
+        # a finite residual of 1e37 overflows float32 in the inverse FFT, 1e36 does not;
+        # "always" keeps a warning a warning, where the suite's filter makes it an error
+        class HugeResidual(IdentityModel):
+            def __init__(self, residual):
+                super().__init__()
+                self.residual = np.float32(residual)
+
+            def forward(self, mag, pool=None):
+                (out,) = super().forward(mag)
+                return [dataclasses.replace(out, mag_residual=out.mag_residual + self.residual)]
+
+        x = noise_waveform(3.0, channels=2, seed=50)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            separate(x, HugeResidual(1e36), fb4)
+            with pytest.raises(PipelineError) as err:
+                separate(x, HugeResidual(1e37), fb4)
+        assert [str(w.message) for w in caught] == []
+        assert str(err.value).startswith("segment 0 (from 0 s), istft: overflow encountered")
+
     def test_frame_blocks_do_not_change_result(self, fb4, monkeypatch):
         # one frame per block, and one block for more than a segment's
         # frames, give the bits of the default blocks
