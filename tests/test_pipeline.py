@@ -146,8 +146,10 @@ class TestSeparate:
         x = noise_waveform(20.5, channels=2, seed=33)
         separate(x, model, request.getfixturevalue(bank))
         assert shape[1] == full_segment_frames(shape[0] // 2)
-        assert model.shapes[:2] == [shape] * 2
-        assert len(model.shapes) == 3 and model.shapes[2][1] < shape[1]
+        # segments run on a thread pool, so their forwards come in any order
+        shapes = sorted(model.shapes, key=lambda s: -s[1])
+        assert shapes[:2] == [shape] * 2
+        assert len(shapes) == 3 and shapes[2][1] < shape[1]
 
     @pytest.mark.parametrize("bank", ["fb4", "fb8"])
     def test_segments_match_one_segment_run(self, request, monkeypatch, bank):
