@@ -12,26 +12,40 @@ Layer counting rule: every convolution counts, including 1x1 shortcuts,
 upsample convs, and the head. The bundled presets hit 276 and 166 conv
 layers under this rule.
 
-A 1x1 conv (a residual shortcut, no bias) is one GEMM over the whole
-layer, [O, C] @ [C, H*W], on the calling thread. A 3x3 conv is a GEMM
-per row tile, "row-tap": for a tile of r output rows it copies only the
-three column shifts of its r + 2 input rows (one halo row on each side,
-zero outside the input) into a channel-first operand [C, 3, r+2, W]
-with zero edge columns, multiplies all three kernel rows at once,
-[3*O, 3*C] @ [3*C, (r+2)*W], and sums the three row-shifted [O, r, W]
-slices of the [3, O, r+2, W] product. Bias, leaky-ReLU and the
-residual add then work in place on the tile's output rows, and only
-then is the next tile staged, so every pass over a tile finds it in
-cache.
+A 3x3 conv is a GEMM per row tile, "row-tap": for a tile of r output
+rows it copies only the three column shifts of its r + 2 input rows
+(one halo row on each side, zero outside the input) into a
+channel-first operand [C, 3, r+2, W] with zero edge columns, multiplies
+all three kernel rows at once, [3*O, 3*C] @ [3*C, (r+2)*W], and sums
+the three row-shifted [O, r, W] slices of the [3, O, r+2, W] product.
+Bias, leaky-ReLU and the residual add then work in place on the tile's
+output rows, and only then is the next tile staged, so every pass over
+a tile finds it in cache.
+
+A conv's input is a list of channel parts, each a plain array or the
+nearest 2x upsample of a low-resolution array, which the staging reads
+in place. So a decoder level's upsample conv stages straight from the
+level below, and its first block stages [upsampled, skip]: neither the
+upsample nor the concatenation is ever built. A 1x1 conv (a residual
+shortcut, no bias) is one GEMM per row tile, [O, C] @ [C, r*W], on the
+tile's rows of the block's first staged operand: its centre tap, a
+strided view that BLAS reads as it is.
 
 The one tile kernel runs a chain of 3x3 convs on each row tile. A
 residual block is a chain of two: conv1 computes its tile plus one
 halo row on each side from r + 4 staged rows into a tile-sized buffer,
 adds its bias, goes through the leaky ReLU and zeroes the rows outside
 the image; conv2 stages from that buffer, then adds its bias and the
-block's residual (the input, or the 1x1 shortcut computed before). So
+block's residual (the input, or the 1x1 shortcut of conv1's operand). So
 conv1's output never exists as a whole layer. The upsample convs and
-the head are chains of one.
+the head are chains of one; the head writes only the unpadded [T, F]
+output. `forward` drops each skip once its level's first decoder block
+has read it. So one `vocals-276` forward on a 10 s segment ([8, 1003,
+257]) on two threads peaks at 64.3 MB of live arrays under tracemalloc:
+three top-level [16, 1024, 288] layers and the jobs' tile buffers, or
+the head's input and output and those buffers. Building the upsample,
+the concatenation and each shortcut as whole layers, and cropping a
+padded head output, took 115.6 MB.
 
 A chain is cut into the same row tiles whatever the thread count: the
 fewest near-equal tiles whose staged operands fit TILE_BYTES. With a
@@ -40,10 +54,13 @@ thread's among them, each take the next tile no job has taken until
 none is left, so a thread that runs slow or starts late takes fewer
 tiles; a job no pool thread has started when the calling thread is
 done is cancelled. Each job allocates its tile-sized buffers per conv
-call; a forward keeps no buffer across layers, so threads may share one
-Model. A tile's GEMMs and epilogues are the same calls whichever thread
-runs them, and a shortcut is one call, so the output is the same bits
-for every thread count. TILE_BYTES is 2 MiB, the L2 cache of one core
+call: the staged operand, the GEMM output, for a chain the buffer
+conv1 feeds conv2, and for a shortcut its [O, r, W] product. A forward
+keeps no buffer across layers, so threads may share one Model. A
+tile's GEMMs and epilogues are the same calls whichever thread runs
+them, so the output is the same bits for every thread count; on the
+machine below the per-tile shortcut GEMMs also give the bits of one
+whole-layer GEMM. TILE_BYTES is 2 MiB, the L2 cache of one core
 of the 2-core Xeon VM it was measured on. There, alternating
 `vocals-276` forwards on a 10 s segment at two threads (numpy 2.4.6,
 OpenBLAS 0.3.31 at one thread) took a median 2.31 s at 2 MiB and at
@@ -61,6 +78,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -217,12 +235,12 @@ class Model:
             skips.append(h)
             h = _avgpool2(h)
         for lvl in reversed(range(cfg.num_levels)):
-            h = _upsample2(h)
-            h = _conv3x3(h, [self._link(f"dec{lvl}.upsample", True)], pool)
-            h = np.concatenate([h, skips[lvl]], axis=0)
-            for b in range(cfg.blocks_per_level[lvl]):
+            h = _conv3x3([_Up2(h)], [self._link(f"dec{lvl}.upsample", True)], pool)
+            h = self._block(h, f"dec{lvl}.block0", pool, skips.pop())
+            for b in range(1, cfg.blocks_per_level[lvl]):
                 h = self._block(h, f"dec{lvl}.block{b}", pool)
-        out = _conv3x3(h, [self._link("head", False)], pool)[:, :t0, :f0]
+        out = np.empty((HEADS_PER_SOURCE * cfg.out_sources * cfg.in_channels, t0, f0), np.float32)
+        _conv3x3([h], [self._link("head", False)], pool, out=out)
 
         per_source = np.split(out, cfg.out_sources, axis=0)
         results = []
@@ -236,11 +254,12 @@ class Model:
     def _link(self, prefix, leaky):
         return self.params[f"{prefix}.weight"], self.params.get(f"{prefix}.bias"), leaky
 
-    def _block(self, x, prefix, pool=None):
+    def _block(self, x, prefix, pool=None, skip=None):
+        """Residual block over x [C,H,W], or over [x, skip] read as one input if `skip` is given."""
         w = self.params.get(f"{prefix}.shortcut.weight")
-        residual = x if w is None else _shortcut(x, w)
         links = [self._link(f"{prefix}.conv1", True), self._link(f"{prefix}.conv2", False)]
-        return _conv3x3(x, links, pool, residual)
+        parts = [x] if skip is None else [x, skip]
+        return _conv3x3(parts, links, pool, x if w is None else None, w)
 
 
 # Bytes of one row tile's staged GEMM operand (see the module docstring)
@@ -301,59 +320,98 @@ def _leaky(x, scratch):
     return np.maximum(x, np.multiply(x, LEAKY_SLOPE, out=tmp), out=x)
 
 
-def _shortcut(x, w):
-    """1x1 conv without bias: x [C,H,W], w [O,C,1,1] -> a fresh float32 [O,H,W], one GEMM."""
-    c, hgt, wid = x.shape
-    return np.matmul(w[:, :, 0, 0], x.reshape(c, hgt * wid)).reshape(len(w), hgt, wid)
+class _Up2:
+    """The nearest 2x upsample of `low` [C,H,W], a [C,2H,2W] conv input that is never built."""
+
+    def __init__(self, low):
+        self.low = low
+        c, hgt, wid = low.shape
+        self.shape = (c, 2 * hgt, 2 * wid)
+
+    def stage(self, top, bot, taps):
+        """Stage rows top..bot-1 into taps [C, 3, bot - top, 2W] as `_stage` does, edges aside.
+
+        Output column s reads low column s // 2, so tap 0 reads
+        (s - 1) // 2 and tap 2 reads (s + 1) // 2.
+        """
+        # rows first, first + 2, ... read low rows first // 2, first // 2 + 1, ...
+        for first in (top, top + 1):
+            dst = taps[:, :, first - top :: 2]
+            src = self.low[:, None, first // 2 : first // 2 + dst.shape[2]]
+            dst[:, 1:, :, 0::2] = src
+            dst[:, :2, :, 1::2] = src
+            dst[:, 0, :, 2::2] = src[:, 0, :, :-1]
+            dst[:, 2, :, 1:-1:2] = src[:, 0, :, 1:]
 
 
-def _stage(x, lo, hi, taps):
-    """Copy rows lo..hi-1 of x [C,H,W] into taps [3*C, (hi-lo)*W] as three column shifts.
+def _stage(parts, lo, hi, taps):
+    """Copy rows lo..hi-1 of a conv input into taps [3*C, (hi-lo)*W] as three column shifts.
 
-    Tap j at column s reads input column s + j - 1. Rows outside x and
-    the edge column a shift moves past are zero.
+    The input is `parts`, [C_i,H,W] arrays or `_Up2`s whose channels
+    follow each other. Tap j at column s reads input column s + j - 1.
+    Rows outside the input and the edge column a shift moves past are
+    zero. Every tap is copied from the part itself: numpy would copy a
+    shift from one tap to another through a temporary, since the taps
+    of a buffer interleave.
     """
-    c, hgt, wid = x.shape
-    buf = taps.reshape(c, 3, hi - lo, wid)
+    _, hgt, wid = parts[0].shape
+    buf = taps.reshape(-1, 3, hi - lo, wid)
     top, bot = max(lo, 0), min(hi, hgt)
     buf[:, :, : top - lo] = 0
     buf[:, :, bot - lo :] = 0
-    src, inner = x[:, top:bot], buf[:, :, top - lo : bot - lo]
+    inner = buf[:, :, top - lo : bot - lo]
     inner[:, 0, :, 0] = 0
-    inner[:, 0, :, 1:] = src[:, :, :-1]
-    inner[:, 1] = src
     inner[:, 2, :, -1] = 0
-    inner[:, 2, :, :-1] = src[:, :, 1:]
+    c0 = 0
+    for part in parts:
+        dst = inner[c0 : c0 + part.shape[0]]
+        c0 += part.shape[0]
+        if isinstance(part, _Up2):
+            part.stage(top, bot, dst)
+            continue
+        src = part[:, top:bot]
+        dst[:, 0, :, 1:] = src[:, :, :-1]
+        dst[:, 1] = src
+        dst[:, 2, :, :-1] = src[:, :, 1:]
 
 
-def _conv3x3(x, links, pool=None, residual=None):
-    """A chain of 3x3 convs over x [C,H,W], each zero-padded to 'same'.
+def _conv3x3(parts, links, pool=None, residual=None, shortcut=None, out=None):
+    """A chain of 3x3 convs over the channel parts of one input [C,H,W] (see `_stage`).
 
-    `links` lists each conv as (w [O,C,3,3], bias [O] or None, leaky):
-    the conv adds its bias and, if `leaky`, goes through the leaky ReLU.
-    Returns a fresh float32 [O,H,W], the last conv's output plus
-    `residual` [O,H,W] if given. The chain runs over row tiles (see
-    `_tiles`), each tile through every conv before the next tile. A
-    conv that feeds d later convs computes its tile's rows and d halo
-    rows on each side into one tile-sized buffer, rows outside x zero,
-    and the next conv stages from that buffer. A conv of r output rows
-    stages its r + 2 input rows as [3*C, (r+2)*W]; one GEMM, w as
-    [3*O, 3*C] (kernel row, then output channel) by that operand, gives
-    z [3, O, r + 2, W], and the output rows are
-    z[0, :, 0:r] + z[1, :, 1:r+1] + z[2, :, 2:r+2]. Bias, leaky ReLU
-    (z as scratch) and residual follow before the next conv is staged.
-    With a `pool`, `min(threads, tiles)` jobs (see `_fan_out`) each take
-    the next tile no job has taken until none is left. Each job
-    allocates one operand, one GEMM output and, for a chain, one fed
-    buffer, sized for the widest tile.
+    Each conv is zero-padded to 'same'. `links` lists each conv as
+    (w [O,C,3,3], bias [O] or None, leaky): the conv adds its bias and,
+    if `leaky`, goes through the leaky ReLU. Returns the last conv's
+    output plus `residual` [O,H,W] if given, plus the 1x1 conv
+    `shortcut` [O,C,1,1] (no bias) of the input if given, in a fresh
+    float32 [O,H,W] or in `out`: an [O,H',W'] array with H' <= H and
+    W' <= W, which takes the top-left crop (then with neither residual
+    nor shortcut).
+
+    The chain runs over row tiles (see `_tiles`), each tile through
+    every conv before the next tile. A conv that feeds d later convs
+    computes its tile's rows and d halo rows on each side into one
+    tile-sized buffer, rows outside the input zero, and the next conv
+    stages from that buffer. A conv of r output rows stages its r + 2
+    input rows as [3*C, (r+2)*W]; one GEMM, w as [3*O, 3*C] (kernel
+    row, then output channel) by that operand, gives z [3, O, r + 2, W],
+    and the output rows are z[0, :, 0:r] + z[1, :, 1:r+1] + z[2, :, 2:r+2].
+    Bias, leaky ReLU (z as scratch) and residual follow before the next
+    conv is staged. The shortcut is one GEMM per tile on the tile's
+    rows of the first conv's centre tap, a strided view of its staged
+    operand, added last. With a `pool`, `min(threads, tiles)` jobs (see
+    `_fan_out`) each take the next tile no job has taken until none is
+    left. Each job allocates one operand, one GEMM output and, for a
+    chain, one fed buffer, sized for the widest tile, and for a
+    shortcut one [O, rows, W] buffer of the widest tile's rows.
     """
-    _, hgt, wid = x.shape
-    y = np.empty((len(links[-1][0]), hgt, wid), dtype=np.float32)
+    _, hgt, wid = parts[0].shape
+    y = np.empty((len(links[-1][0]), hgt, wid), dtype=np.float32) if out is None else out
     # [kernel row, O] x [C, kernel column]
     w_rows = [w.transpose(2, 0, 1, 3).reshape(3 * len(w), -1) for w, _, _ in links]
     depth = len(links)
     tiles = _tiles(hgt, wid, max(w.shape[1] for w, _, _ in links), depth)
-    widest = (max(t1 - t0 for t0, t1 in tiles) + 2 * depth) * wid
+    most_rows = max(t1 - t0 for t0, t1 in tiles)
+    widest = (most_rows + 2 * depth) * wid
     deal = itertools.count()
 
     def job():
@@ -361,32 +419,46 @@ def _conv3x3(x, links, pool=None, residual=None):
         product = np.empty(max(len(w) for w in w_rows) * widest, dtype=np.float32)
         fed_channels = max([len(w) // 3 for w in w_rows[:-1]], default=0)
         fed = np.empty(fed_channels * widest, dtype=np.float32)
+        if shortcut is not None:
+            added = np.empty(len(y) * most_rows * wid, dtype=np.float32)
         for i in deal:
             if i >= len(tiles):
                 return
             t0, t1 = tiles[i]
-            src, lo = x, t0 - depth
+            src, lo = parts, t0 - depth
             for w, (_, b, leaky), halo in zip(w_rows, links, range(depth - 1, -1, -1)):
                 o, rows = len(w) // 3, t1 - t0 + 2 * halo
                 n = (rows + 2) * wid
                 taps = staged[: w.shape[1] * n].reshape(-1, n)
                 _stage(src, lo, lo + rows + 2, taps)
+                if shortcut is not None and halo == depth - 1:
+                    # the tile's rows sit `depth` rows into the first conv's staged rows
+                    centre = taps.reshape(-1, 3, rows + 2, wid)[:, 1, depth : depth + t1 - t0]
+                    sc = np.matmul(
+                        shortcut[:, :, 0, 0],
+                        centre.reshape(len(centre), -1),
+                        out=added[: len(y) * (t1 - t0) * wid].reshape(len(y), -1),
+                    )
                 z = np.matmul(w, taps, out=product[: 3 * o * n].reshape(3 * o, n))
                 z = z.reshape(3, o, rows + 2, wid)
                 out = fed[: o * rows * wid].reshape(o, rows, wid) if halo else y[:, t0:t1]
-                # output row r takes kernel row i from staged row r + i
-                np.add(z[0, :, :rows], z[1, :, 1 : rows + 1], out=out)
-                out += z[2, :, 2:]
+                # output row r takes kernel row i from staged row r + i; a crop keeps
+                # the first rows and columns
+                r, cols = out.shape[1:]
+                np.add(z[0, :, :r, :cols], z[1, :, 1 : r + 1, :cols], out=out)
+                out += z[2, :, 2 : r + 2, :cols]
                 if b is not None:
                     out += b[:, None, None]
                 if leaky:
                     _leaky(out, product)
-                if halo:  # rows outside x are the next conv's zero padding
+                if halo:  # rows outside the input are the next conv's zero padding
                     out[:, : max(halo - t0, 0)] = 0
                     out[:, rows - max(t1 + halo - hgt, 0) :] = 0
-                    src, lo = out, 0
+                    src, lo = [out], 0
             if residual is not None:
                 out += residual[:, t0:t1]
+            if shortcut is not None:
+                out += sc.reshape(out.shape)
 
     _fan_out(pool, min(_threads(pool), len(tiles)), job)
     return y
@@ -403,10 +475,6 @@ def _avgpool2(x):
     y = (v[:, :, 0, :, 0] + v[:, :, 0, :, 1]) + (v[:, :, 1, :, 0] + v[:, :, 1, :, 1])
     y *= np.float32(0.25)
     return y
-
-
-def _upsample2(x):
-    return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
 
 
 def build(config: ModelConfig) -> Model:
@@ -472,60 +540,71 @@ def write_store(store: WeightStore, path) -> None:
 
 
 def read_store(path) -> WeightStore:
+    """Read a CWSW container (see `write_store`), each tensor straight into its own array.
+
+    The header is read and checked first; then each entry is checked,
+    its extent against the file's size, and its data read with
+    `readinto` into a fresh float32 array: aligned, writable and
+    native-endian (a view of one bytes object can be unaligned, and
+    numpy's matmul then bypasses BLAS). The file is never held whole,
+    so a load peaks at about the tensors' bytes.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != STORE_MAGIC:
-        raise WeightStoreError(f"{path}: bad magic, not a CWSW weight store")
-    if len(raw) < 16:
-        raise WeightStoreError(f"{path}: truncated header")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != STORE_VERSION:
-        raise WeightStoreError(f"{path}: unsupported store version {version}")
-    (header_len,) = struct.unpack_from("<Q", raw, 8)
-    header_start = 16
-    data_start = header_start + header_len
-    if data_start > len(raw):
-        raise WeightStoreError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[header_start:data_start].decode())
-    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
-        raise WeightStoreError(f"{path}: header is not UTF-8 JSON: {e}") from None
-    if not isinstance(header, dict):
-        raise WeightStoreError(f"{path}: header is a {type(header).__name__}, not an object")
-    for key in ("config_hash", "config", "tensors"):
-        if key not in header:
-            raise WeightStoreError(f"{path}: header has no {key!r}")
-    config, entries = header["config"], header["tensors"]
-    if not isinstance(config, dict):
-        raise WeightStoreError(f"{path}: header's 'config' is not an object")
-    if not isinstance(entries, list):
-        raise WeightStoreError(f"{path}: header's 'tensors' is not a list")
-    tensors = {}
-    for i, entry in enumerate(entries):
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
-            raise WeightStoreError(
-                f"{path}: tensor entry {i} is not an object with a string 'name'"
-            )
-        name, shape = entry["name"], entry.get("shape")
-        if name in tensors:
-            raise WeightStoreError(f"{path}: tensor {name!r} is listed more than once")
-        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-            raise WeightStoreError(
-                f"{path}: tensor {name!r} has shape {shape!r}, expected a list of integers >= 0"
-            )
-        dtype, offset = entry.get("dtype"), entry.get("offset")
-        if dtype != "f32" or type(offset) is not int or offset < 0:
-            raise WeightStoreError(
-                f"{path}: tensor {name!r} has dtype {dtype!r} and offset {offset!r}, "
-                "expected 'f32' and an integer >= 0"
-            )
-        count = math.prod(shape)
-        start = data_start + offset
-        if start + 4 * count > len(raw):
-            raise WeightStoreError(f"{path}: truncated data for tensor {name!r}")
-        # one copy out of the file: aligned, writable and native-endian, where a view
-        # of raw can be unaligned (numpy's matmul then bypasses BLAS)
-        tensors[name] = np.frombuffer(raw, "<f4", count, start).astype(np.float32).reshape(shape)
+        lead = f.read(16)
+        if lead[:4] != STORE_MAGIC:
+            raise WeightStoreError(f"{path}: bad magic, not a CWSW weight store")
+        if len(lead) < 16:
+            raise WeightStoreError(f"{path}: truncated header")
+        (version,) = struct.unpack_from("<I", lead, 4)
+        if version != STORE_VERSION:
+            raise WeightStoreError(f"{path}: unsupported store version {version}")
+        (header_len,) = struct.unpack_from("<Q", lead, 8)
+        size = os.fstat(f.fileno()).st_size
+        data_start = 16 + header_len
+        if data_start > size:
+            raise WeightStoreError(f"{path}: truncated header")
+        try:
+            header = json.loads(f.read(header_len).decode())
+        except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+            raise WeightStoreError(f"{path}: header is not UTF-8 JSON: {e}") from None
+        if not isinstance(header, dict):
+            raise WeightStoreError(f"{path}: header is a {type(header).__name__}, not an object")
+        for key in ("config_hash", "config", "tensors"):
+            if key not in header:
+                raise WeightStoreError(f"{path}: header has no {key!r}")
+        config, entries = header["config"], header["tensors"]
+        if not isinstance(config, dict):
+            raise WeightStoreError(f"{path}: header's 'config' is not an object")
+        if not isinstance(entries, list):
+            raise WeightStoreError(f"{path}: header's 'tensors' is not a list")
+        tensors = {}
+        for i, entry in enumerate(entries):
+            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+                raise WeightStoreError(
+                    f"{path}: tensor entry {i} is not an object with a string 'name'"
+                )
+            name, shape = entry["name"], entry.get("shape")
+            if name in tensors:
+                raise WeightStoreError(f"{path}: tensor {name!r} is listed more than once")
+            if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+                raise WeightStoreError(
+                    f"{path}: tensor {name!r} has shape {shape!r}, expected a list of integers >= 0"
+                )
+            dtype, offset = entry.get("dtype"), entry.get("offset")
+            if dtype != "f32" or type(offset) is not int or offset < 0:
+                raise WeightStoreError(
+                    f"{path}: tensor {name!r} has dtype {dtype!r} and offset {offset!r}, "
+                    "expected 'f32' and an integer >= 0"
+                )
+            count = math.prod(shape)
+            start = data_start + offset
+            if start + 4 * count > size:
+                raise WeightStoreError(f"{path}: truncated data for tensor {name!r}")
+            tensor = np.empty(count, "<f4")
+            f.seek(start)
+            f.readinto(tensor)
+            # copied only where float32 is not little-endian
+            tensors[name] = tensor.astype(np.float32, copy=False).reshape(shape)
     return WeightStore(
         config_hash=header["config_hash"],
         tensors=tensors,

@@ -24,14 +24,74 @@ from cwsep.resunet import (
     write_store,
 )
 from cwsep import resunet
-from cwsep.resunet import _conv3x3, _shortcut
+from cwsep.resunet import _conv3x3, _Up2
 
 TINY = PRESETS["tiny"]
+# one or two blocks per level at the preset widths: 3 and 5 levels
+OTHER_WIDTHS = ModelConfig(out_sources=4, blocks_per_level=(2,) * 3,
+                           channels_per_level=(16, 32, 48))
+VOCALS_WIDTHS = ModelConfig(blocks_per_level=(1,) * 5, channels_per_level=(16, 32, 48, 64, 80))
+FIELDS = ("mask_logits", "phase_real", "phase_imag", "mag_residual")
 
 
 def random_input(t=32, f=257, channels=8, seed=0):
     rng = np.random.default_rng(seed)
     return np.abs(rng.standard_normal((channels, t, f))).astype(np.float32)
+
+
+def damped_model(config, seed):
+    """init_random weights with every conv2 weight x0.1, which keeps a deep net finite."""
+    model = init_random(build(config), seed=seed)
+    for name, value in model.params.items():
+        if name.endswith("conv2.weight"):
+            value *= np.float32(0.1)
+    return model
+
+
+def layer_shortcut(x, w):
+    """1x1 conv without bias: x [C,H,W], w [O,C,1,1] -> [O,H,W], one GEMM over the layer."""
+    c, hgt, wid = x.shape
+    return np.matmul(w[:, :, 0, 0], x.reshape(c, hgt * wid)).reshape(len(w), hgt, wid)
+
+
+def reference_forward(model, mag, pool=None):
+    """Model.forward composed of whole layers, as [every source's four tensors, T, F].
+
+    The upsample is np.repeat, a skip joins by np.concatenate, each
+    shortcut is one GEMM over the layer, and the head runs over the
+    padded layer and is cropped afterwards.
+    """
+    cfg, params = model.config, model.params
+
+    def link(prefix, leaky):
+        return params[f"{prefix}.weight"], params.get(f"{prefix}.bias"), leaky
+
+    def block(x, prefix):
+        w = params.get(f"{prefix}.shortcut.weight")
+        links = [link(f"{prefix}.conv1", True), link(f"{prefix}.conv2", False)]
+        return _conv3x3([x], links, pool, x if w is None else layer_shortcut(x, w))
+
+    _, t0, f0 = mag.shape
+    mult = 2**cfg.num_levels
+    h = np.pad(mag, ((0, 0), (0, -t0 % mult), (0, -f0 % mult)))
+    skips = []
+    for lvl in range(cfg.num_levels):
+        for b in range(cfg.blocks_per_level[lvl]):
+            h = block(h, f"enc{lvl}.block{b}")
+        skips.append(h)
+        h = resunet._avgpool2(h)
+    for lvl in reversed(range(cfg.num_levels)):
+        h = np.repeat(np.repeat(h, 2, axis=1), 2, axis=2)
+        h = _conv3x3([h], [link(f"dec{lvl}.upsample", True)], pool)
+        h = np.concatenate([h, skips[lvl]])
+        for b in range(cfg.blocks_per_level[lvl]):
+            h = block(h, f"dec{lvl}.block{b}")
+    return _conv3x3([h], [link("head", False)], pool)[:, :t0, :f0]
+
+
+def stacked(outputs):
+    """Model.forward's NetworkOutputs as one array in the head's channel order."""
+    return np.concatenate([getattr(out, name) for out in outputs for name in FIELDS])
 
 
 class TestBuild:
@@ -172,6 +232,40 @@ class TestForward:
         for a, b in zip(whole, pooled, strict=True):
             assert all(np.array_equal(getattr(a, n), getattr(b, n)) for n in fields)
 
+    @pytest.mark.parametrize("threads", [0, 1, 2, 3])
+    @pytest.mark.parametrize("config", [TINY, OTHER_WIDTHS, VOCALS_WIDTHS],
+                             ids=["tiny", "other-widths", "vocals-widths"])
+    def test_matches_whole_layer_reference(self, config, threads):
+        # T and F are not multiples of 2^L, so every level pads and the
+        # head is cropped; the upsample, concat and shortcuts staged in
+        # place are the same bits as whole-layer copies and GEMMs
+        model = damped_model(config, seed=21)
+        x = random_input(t=250, f=257, seed=22)
+        if threads:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                got, ref = stacked(model.forward(x, pool)), reference_forward(model, x, pool)
+        else:
+            got, ref = stacked(model.forward(x)), reference_forward(model, x)
+        assert got.shape == ref.shape == (32 * config.out_sources, 250, 257)
+        assert np.array_equal(got, ref)
+
+    def test_forward_memory_stays_within_three_top_layers_and_a_few_tiles(self):
+        # a decoder level holds its upsample conv's output, its skip and its
+        # first block's output; the head holds its input and the cropped
+        # output. Each of 2 threads adds its tile buffers.
+        model, threads = damped_model(VOCALS_WIDTHS, seed=23), 2
+        x = random_input(t=250, f=257, seed=24)
+        top = 4 * VOCALS_WIDTHS.channels_per_level[0] * 256 * 288
+        head = 4 * 32 * 250 * 257
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            tracemalloc.start()
+            try:
+                model.forward(x, pool)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < max(3 * top, top + head) + 3 * threads * resunet.TILE_BYTES
+
     def test_wrong_channel_count_rejected(self):
         model = build(TINY)
         with pytest.raises(ValueError):
@@ -240,9 +334,9 @@ class TestConv2d:
     @pytest.mark.parametrize("bias", [False, True])
     @pytest.mark.parametrize("row_tiles", [False, True])
     def test_matches_oracle(self, k, c, o, hgt, wid, bias, row_tiles, monkeypatch):
-        # k = 1 is a residual shortcut: one GEMM over the layer with no
-        # bias and no tiles, so its bias and row_tiles cases repeat its
-        # plain one
+        # k = 1 is a residual shortcut: no bias, one GEMM per row tile on
+        # the staged centre tap of a zero 3x3 conv, so its bias cases
+        # repeat its plain one
         rng = np.random.default_rng(hgt * 100 + wid * 10 + c)
         x = rng.standard_normal((c, hgt, wid)).astype(np.float32)
         w = rng.standard_normal((o, c, k, k)).astype(np.float32)
@@ -251,7 +345,10 @@ class TestConv2d:
         # values; otherwise the conv is one tile
         if row_tiles:
             monkeypatch.setattr(resunet, "TILE_BYTES", 1)
-        got = _conv3x3(x, [(w, b, False)]) if k == 3 else _shortcut(x, w)
+        if k == 3:
+            got = _conv3x3([x], [(w, b, False)])
+        else:
+            got = _conv3x3([x], [(np.zeros((o, c, 3, 3), np.float32), None, False)], shortcut=w)
         ref = conv_oracle(x, w, b)
         assert got.shape == (o, hgt, wid) and got.dtype == np.float32
         assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
@@ -278,8 +375,8 @@ class TestConv2d:
                 w = (rng.standard_normal((o, c, 3, 3)) / (3 * c)).astype(np.float32)
                 b = rng.standard_normal(o).astype(np.float32)
                 res = rng.standard_normal((o, hgt, wid)).astype(np.float32)
-                unsplit = _conv3x3(x, [(w, b, True)], None, res)
-                assert np.array_equal(_conv3x3(x, [(w, b, True)], pool, res), unsplit)
+                unsplit = _conv3x3([x], [(w, b, True)], None, res)
+                assert np.array_equal(_conv3x3([x], [(w, b, True)], pool, res), unsplit)
 
     def test_tiles_do_not_depend_on_the_pool(self, monkeypatch):
         # enc0.block0.conv1 of vocals-276 on 45 rows: one tile, which a
@@ -290,9 +387,9 @@ class TestConv2d:
         w = rng.standard_normal((o, c, 3, 3)).astype(np.float32)
         stage, staged = resunet._stage, []
 
-        def recording(x, lo, hi, taps):
+        def recording(parts, lo, hi, taps):
             staged.append((lo, hi))
-            stage(x, lo, hi, taps)
+            stage(parts, lo, hi, taps)
 
         monkeypatch.setattr(resunet, "_stage", recording)
         runs = []
@@ -300,9 +397,9 @@ class TestConv2d:
             staged.clear()
             if threads:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
-                    _conv3x3(x, [(w, None, False)], pool)
+                    _conv3x3([x], [(w, None, False)], pool)
             else:
-                _conv3x3(x, [(w, None, False)])
+                _conv3x3([x], [(w, None, False)])
             runs.append(sorted(staged))
         assert runs[0] == runs[1] == runs[2]
 
@@ -328,13 +425,13 @@ class TestConv2d:
         peak = np.max(np.abs(ref))
         monkeypatch.setattr(resunet, "TILE_BYTES", 4 * 3 * c * (hgt + 2) * wid)
         assert len(resunet._tiles(hgt, wid, c)) == 1
-        whole = _conv3x3(x, [(w, b, True)], None, res)
+        whole = _conv3x3([x], [(w, b, True)], None, res)
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for rows in (1, 7):
                 monkeypatch.setattr(resunet, "TILE_BYTES", 4 * 3 * c * (rows + 2) * wid)
                 assert max(t1 - t0 for t0, t1 in resunet._tiles(hgt, wid, c)) <= rows
-                tiled = _conv3x3(x, [(w, b, True)], None, res)
-                assert np.array_equal(_conv3x3(x, [(w, b, True)], pool, res), tiled)
+                tiled = _conv3x3([x], [(w, b, True)], None, res)
+                assert np.array_equal(_conv3x3([x], [(w, b, True)], pool, res), tiled)
                 assert np.max(np.abs(tiled - whole)) <= 1e-6 * peak
                 assert np.max(np.abs(tiled - ref)) <= 1e-5 * peak
 
@@ -349,7 +446,7 @@ class TestConv2d:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             tracemalloc.start()
             try:
-                y = _conv3x3(x, [(w, b, True)], pool)
+                y = _conv3x3([x], [(w, b, True)], pool)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -377,16 +474,19 @@ class TestBlockChain:
     def test_matches_separate_convs(self, c, o, hgt, one_row_tiles, threads, monkeypatch):
         links, shortcut = block_weights(c, o, hgt)
         x = np.random.default_rng(hgt + 10).standard_normal((c, hgt, 288)).astype(np.float32)
-        residual = x if shortcut is None else _shortcut(x, shortcut)
+        # the chain computes a shortcut per row tile; the separate convs
+        # add one GEMM over the whole layer
+        residual = x if shortcut is None else layer_shortcut(x, shortcut)
+        identity = x if shortcut is None else None
         if one_row_tiles:
             monkeypatch.setattr(resunet, "TILE_BYTES", 1)
             assert len(resunet._tiles(hgt, 288, c, 2)) == hgt
-        separate = _conv3x3(_conv3x3(x, links[:1]), links[1:], None, residual)
+        separate = _conv3x3([_conv3x3([x], links[:1])], links[1:], None, residual)
         if threads:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                chained = _conv3x3(x, links, pool, residual)
+                chained = _conv3x3([x], links, pool, identity, shortcut)
         else:
-            chained = _conv3x3(x, links, None, residual)
+            chained = _conv3x3([x], links, None, identity, shortcut)
         assert np.array_equal(chained, separate)
 
     def test_a_late_pool_thread_takes_each_tile_once(self, monkeypatch):
@@ -397,25 +497,25 @@ class TestBlockChain:
         x = np.random.default_rng(1).standard_normal((c, hgt, wid)).astype(np.float32)
         monkeypatch.setattr(resunet, "TILE_BYTES", 1)
         tiles = resunet._tiles(hgt, wid, c, 2)
-        separate = _conv3x3(_conv3x3(x, links[:1]), links[1:], None, x)
+        separate = _conv3x3([_conv3x3([x], links[:1])], links[1:], None, x)
         here, release, started = threading.get_ident(), threading.Event(), threading.Event()
         stage, staged = resunet._stage, []
 
-        def recording(src, lo, hi, taps):
-            staged.append((threading.get_ident(), src is x, lo, hi))
+        def recording(parts, lo, hi, taps):
+            staged.append((threading.get_ident(), parts[0] is x, lo, hi))
             if threading.get_ident() == here:
                 release.set()
                 assert started.wait(60)
             else:
                 started.set()
-            stage(src, lo, hi, taps)
+            stage(parts, lo, hi, taps)
 
         monkeypatch.setattr(resunet, "_stage", recording)
         # both pool threads wait, so the conv's one pool job starts when released
         with ThreadPoolExecutor(max_workers=2) as pool:
             for _ in range(2):
                 pool.submit(release.wait, 60)
-            chained = _conv3x3(x, links, pool, x)
+            chained = _conv3x3([x], links, pool, x)
         assert np.array_equal(chained, separate)
         assert len(staged) == 2 * len(tiles)
         firsts = sorted((lo, hi) for _, of_x, lo, hi in staged if of_x)
@@ -429,7 +529,7 @@ class TestBlockChain:
         links, _ = block_weights(16, 16, 2)
         x = np.random.default_rng(2).standard_normal((16, 64, 288)).astype(np.float32)
         monkeypatch.setattr(resunet, "TILE_BYTES", 1)
-        separate = _conv3x3(_conv3x3(x, links[:1]), links[1:], None, x)
+        separate = _conv3x3([_conv3x3([x], links[:1])], links[1:], None, x)
         stage, calls = resunet._stage, []
         monkeypatch.setattr(resunet, "_stage", lambda *a: calls.append(1) or stage(*a))
         interval = sys.getswitchinterval()
@@ -438,7 +538,7 @@ class TestBlockChain:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 for _ in range(3):
                     calls.clear()
-                    assert np.array_equal(_conv3x3(x, links, pool, x), separate)
+                    assert np.array_equal(_conv3x3([x], links, pool, x), separate)
                     assert len(calls) == 2 * 64
         finally:
             sys.setswitchinterval(interval)
@@ -458,6 +558,26 @@ class TestBlockChain:
             finally:
                 tracemalloc.stop()
         assert peak < y.nbytes + 3 * threads * resunet.TILE_BYTES
+
+
+class TestParts:
+    @pytest.mark.parametrize("one_row_tiles", [False, True])
+    @pytest.mark.parametrize("hgt, wid", [(1, 1), (1, 4), (3, 5), (4, 2), (5, 3)])
+    def test_upsample_and_skip_staged_as_copies(self, hgt, wid, one_row_tiles, monkeypatch):
+        # a nearest 2x upsample and a skip read in place: tiles start on
+        # even and odd rows, and one-row tiles stage one row of a pair
+        rng = np.random.default_rng(hgt * 10 + wid)
+        low = rng.standard_normal((6, hgt, wid)).astype(np.float32)
+        skip = rng.standard_normal((3, 2 * hgt, 2 * wid)).astype(np.float32)
+        up = np.repeat(np.repeat(low, 2, axis=1), 2, axis=2)
+        links, _ = block_weights(9, 4, hgt)
+        if one_row_tiles:
+            monkeypatch.setattr(resunet, "TILE_BYTES", 1)
+        for parts, whole in (([_Up2(low)], up), ([_Up2(low), skip], np.concatenate([up, skip])),
+                             ([skip, _Up2(low)], np.concatenate([skip, up]))):
+            w = links[0][0][:, : len(whole)]
+            assert np.array_equal(_conv3x3(parts, [(w, None, True)]),
+                                  _conv3x3([whole], [(w, None, True)]))
 
 
 @pytest.mark.parametrize("frames", [502, 1003, 2005])
@@ -587,9 +707,12 @@ class TestWeightStore:
                 assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_load_keeps_one_copy_of_each_tensor(self, tmp_path):
-        # the file's bytes plus one copy per tensor, which the model takes as they are
-        p = tmp_path / "zero.cwsw"
-        write_store(save_weights(build(PRESETS["vocals-276"])), p)
+        # each tensor is read from the file straight into its own array, which
+        # the model takes as it is; the file's bytes are never held whole
+        p = tmp_path / "other.cwsw"
+        saved = save_weights(init_random(build(PRESETS["other-166"]), seed=19))
+        write_store(saved, p)
+        tensor_bytes = sum(t.nbytes for t in saved.tensors.values())
         tracemalloc.start()
         try:
             store = read_store(p)
@@ -597,9 +720,12 @@ class TestWeightStore:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * p.stat().st_size
+        assert peak <= 1.05 * tensor_bytes
         assert all(model.params[k] is t for k, t in store.tensors.items())
-        assert all(t.flags.aligned and t.flags.writeable for t in store.tensors.values())
+        # aligned, writable, native float32: what numpy's matmul hands to BLAS
+        for name, t in store.tensors.items():
+            assert t.flags.aligned and t.flags.writeable and t.dtype == np.float32
+            assert t.dtype.isnative and np.array_equal(t, saved.tensors[name])
 
     @pytest.mark.parametrize("dtype", ["f16", "f64", None])
     def test_non_f32_dtype_rejected(self, tmp_path, dtype):
