@@ -23,9 +23,10 @@ output rows, and only then is the next tile staged, so every pass over
 a tile finds it in cache.
 
 A conv's input is a list of channel parts, each a plain array or the
-nearest 2x upsample of a low-resolution array, which the staging reads
-in place. So a decoder level's upsample conv stages straight from the
-level below, and its first block stages [upsampled, skip]: neither the
+nearest 2x upsample of a low-resolution array, of which the staging
+builds only the row tile it copies (an `np.repeat` of the low rows).
+So a decoder level's upsample conv stages straight from the level
+below, and its first block stages [upsampled, skip]: neither the whole
 upsample nor the concatenation is ever built. A 1x1 conv (a residual
 shortcut, no bias) is one GEMM per row tile, [O, C] @ [C, r*W], on the
 tile's rows of the block's first staged operand: its centre tap, a
@@ -239,17 +240,10 @@ class Model:
             h = self._block(h, f"dec{lvl}.block0", pool, skips.pop())
             for b in range(1, cfg.blocks_per_level[lvl]):
                 h = self._block(h, f"dec{lvl}.block{b}", pool)
-        out = np.empty((HEADS_PER_SOURCE * cfg.out_sources * cfg.in_channels, t0, f0), np.float32)
-        _conv3x3([h], [self._link("head", False)], pool, out=out)
-
-        per_source = np.split(out, cfg.out_sources, axis=0)
-        results = []
-        for chunk in per_source:
-            m, pr, pi, q = np.split(chunk, HEADS_PER_SOURCE, axis=0)
-            results.append(
-                NetworkOutput(mask_logits=m, phase_real=pr, phase_imag=pi, mag_residual=q)
-            )
-        return results
+        out = np.empty((cfg.out_sources, HEADS_PER_SOURCE, cfg.in_channels, t0, f0), np.float32)
+        _conv3x3([h], [self._link("head", False)], pool, out=out.reshape(-1, t0, f0))
+        # per source: mask logits, phase real, phase imag, magnitude residual
+        return [NetworkOutput(*heads) for heads in out]
 
     def _link(self, prefix, leaky):
         return self.params[f"{prefix}.weight"], self.params.get(f"{prefix}.bias"), leaky
@@ -321,38 +315,28 @@ def _leaky(x, scratch):
 
 
 class _Up2:
-    """The nearest 2x upsample of `low` [C,H,W], a [C,2H,2W] conv input that is never built."""
+    """The nearest 2x upsample of `low` [C,H,W], a [C,2H,2W] conv input built a row tile at a time."""
 
     def __init__(self, low):
         self.low = low
         c, hgt, wid = low.shape
         self.shape = (c, 2 * hgt, 2 * wid)
 
-    def stage(self, top, bot, taps):
-        """Stage rows top..bot-1 into taps [C, 3, bot - top, 2W] as `_stage` does, edges aside.
-
-        Output column s reads low column s // 2, so tap 0 reads
-        (s - 1) // 2 and tap 2 reads (s + 1) // 2.
-        """
-        # rows first, first + 2, ... read low rows first // 2, first // 2 + 1, ...
-        for first in (top, top + 1):
-            dst = taps[:, :, first - top :: 2]
-            src = self.low[:, None, first // 2 : first // 2 + dst.shape[2]]
-            dst[:, 1:, :, 0::2] = src
-            dst[:, :2, :, 1::2] = src
-            dst[:, 0, :, 2::2] = src[:, 0, :, :-1]
-            dst[:, 2, :, 1:-1:2] = src[:, 0, :, 1:]
+    def rows(self, top, bot):
+        """Rows top..bot-1 of the upsample: low rows top // 2 .. (bot - 1) // 2, each twice."""
+        low = self.low[:, top // 2 : (bot + 1) // 2].repeat(2, axis=1)
+        return low[:, top % 2 : top % 2 + bot - top].repeat(2, axis=2)
 
 
 def _stage(parts, lo, hi, taps):
     """Copy rows lo..hi-1 of a conv input into taps [3*C, (hi-lo)*W] as three column shifts.
 
     The input is `parts`, [C_i,H,W] arrays or `_Up2`s whose channels
-    follow each other. Tap j at column s reads input column s + j - 1.
-    Rows outside the input and the edge column a shift moves past are
-    zero. Every tap is copied from the part itself: numpy would copy a
-    shift from one tap to another through a temporary, since the taps
-    of a buffer interleave.
+    follow each other; an `_Up2` builds its rows of the tile. Tap j at
+    column s reads input column s + j - 1. Rows outside the input and
+    the edge column a shift moves past are zero. Every tap is copied
+    from the part itself: numpy would copy a shift from one tap to
+    another through a temporary, since the taps of a buffer interleave.
     """
     _, hgt, wid = parts[0].shape
     buf = taps.reshape(-1, 3, hi - lo, wid)
@@ -364,12 +348,9 @@ def _stage(parts, lo, hi, taps):
     inner[:, 2, :, -1] = 0
     c0 = 0
     for part in parts:
-        dst = inner[c0 : c0 + part.shape[0]]
-        c0 += part.shape[0]
-        if isinstance(part, _Up2):
-            part.stage(top, bot, dst)
-            continue
-        src = part[:, top:bot]
+        src = part.rows(top, bot) if isinstance(part, _Up2) else part[:, top:bot]
+        dst = inner[c0 : c0 + len(src)]
+        c0 += len(src)
         dst[:, 0, :, 1:] = src[:, :, :-1]
         dst[:, 1] = src
         dst[:, 2, :, :-1] = src[:, :, 1:]

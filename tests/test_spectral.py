@@ -186,6 +186,16 @@ class TestIstft:
                 loop[t * 110 : t * 110 + 512] += win_sq
             assert np.array_equal(spectral._window_sum(frames, dtype), loop)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_window_sum_needs_no_floor(self, dtype):
+        # istft divides its n kept samples by the overlap-added squared
+        # windows with no floor. The least sum is at n = 109 mod 110,
+        # where the last sample is 108 samples past the last frame's centre
+        least = [spectral._window_sum(n // 110 + 1, dtype)[256 : 256 + n].min()
+                 for n in range(1, 1001)]
+        assert min(least) >= 0.38
+        assert np.argmin(least) + 1 == 109
+
     def test_zero_spectrogram(self):
         spec = np.zeros((2, 20, 257), dtype=complex)
         y = whole_istft(spec, 1000)
